@@ -154,6 +154,20 @@ cargo run -q --release --offline --bin hypertpctl -- fleet --vms 3 \
 cargo run -q --release --offline --bin hypertpctl -- fleet --vms 3 --slo-aware \
   | grep -q "slo admission"
 
+echo "== perfbench (unit tests + one-second smoke of every workload) =="
+# The benchmark is a workspace of its own, so the workspace test run above
+# does not reach it. Each smoke must exit 0 and report every op correct.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in idle-fleet hot-vm inplace-m1 feed-year; do
+  echo "-- perfbench: ${workload} --"
+  result=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "${workload}" --seed 1 --seconds 1 | tail -n 1)
+  if ! grep -q '"correct": true' <<<"${result}"; then
+    echo "error: perfbench ${workload} smoke not correct: ${result}" >&2
+    exit 1
+  fi
+done
+
 echo "== examples (keep them compiling *and* running) =="
 for example in quickstart migration_vs_inplace datacenter_upgrade vulnerability_response; do
   echo "-- example: ${example} --"

@@ -49,18 +49,19 @@ impl From<BuddyError> for MemError {
     }
 }
 
-/// Per-frame ownership flags. Content words live in a separate dense
-/// array so the two concerns scale independently: the wire path borrows
-/// whole extents of contents as `&[u64]` without dragging flag bytes
-/// through the cache, and ownership sweeps (kexec, scrub) walk the
-/// 2-byte flag array instead of 16-byte AoS records.
-#[derive(Debug, Clone, Copy, Default)]
-struct FrameFlags {
-    /// True while some owner holds the frame (cleared by kexec).
-    allocated: bool,
-    /// True if the frame is protected by a parsed PRAM reservation.
-    reserved: bool,
-}
+// Per-frame ownership flag bits, one byte per frame. Content words live
+// in a separate dense array so the two concerns scale independently: the
+// wire path borrows whole extents of contents as `&[u64]` without
+// dragging flag bytes through the cache, and ownership sweeps (kexec,
+// scrub) walk the 1-byte flag array instead of 16-byte AoS records.
+// A plain byte (rather than a struct) lets `vec![0u8; n]` take the
+// allocator's zeroed-allocation path, so a fresh multi-GiB machine never
+// writes its flag array.
+
+/// Set while some owner holds the frame (cleared by kexec).
+const ALLOCATED: u8 = 1 << 0;
+/// Set if the frame is protected by a parsed PRAM reservation.
+const RESERVED: u8 = 1 << 1;
 
 /// The machine's physical RAM.
 ///
@@ -72,7 +73,7 @@ struct FrameFlags {
 #[derive(Debug)]
 pub struct PhysicalMemory {
     contents: Vec<u64>,
-    flags: Vec<FrameFlags>,
+    flags: Vec<u8>,
     buddy: BuddyAllocator,
     /// Optional byte-level backing for frames that tests want to inspect.
     bytes: HashMap<u64, Box<[u8]>>,
@@ -83,7 +84,7 @@ impl PhysicalMemory {
     pub fn new(total_frames: u64) -> Self {
         PhysicalMemory {
             contents: vec![0; total_frames as usize],
-            flags: vec![FrameFlags::default(); total_frames as usize],
+            flags: vec![0; total_frames as usize],
             buddy: BuddyAllocator::new(total_frames),
             bytes: HashMap::new(),
         }
@@ -113,7 +114,7 @@ impl PhysicalMemory {
     pub fn alloc(&mut self, order: PageOrder) -> Result<Extent, MemError> {
         let e = self.buddy.alloc(order)?;
         for mfn in e.frames() {
-            self.flags[mfn.0 as usize].allocated = true;
+            self.flags[mfn.0 as usize] |= ALLOCATED;
         }
         Ok(e)
     }
@@ -125,12 +126,12 @@ impl PhysicalMemory {
     pub fn free(&mut self, extent: Extent) -> Result<(), MemError> {
         self.buddy.free(extent)?;
         for mfn in extent.frames() {
-            self.flags[mfn.0 as usize].allocated = false;
+            self.flags[mfn.0 as usize] &= !ALLOCATED;
         }
         Ok(())
     }
 
-    fn flags(&self, mfn: Mfn) -> Result<FrameFlags, MemError> {
+    fn flags(&self, mfn: Mfn) -> Result<u8, MemError> {
         self.flags
             .get(mfn.0 as usize)
             .copied()
@@ -139,7 +140,7 @@ impl PhysicalMemory {
 
     /// Writes a content word to an allocated frame.
     pub fn write(&mut self, mfn: Mfn, content: u64) -> Result<(), MemError> {
-        if !self.flags(mfn)?.allocated {
+        if self.flags(mfn)? & ALLOCATED == 0 {
             return Err(MemError::NotAllocated { mfn });
         }
         self.contents[mfn.0 as usize] = content;
@@ -176,7 +177,7 @@ impl PhysicalMemory {
     /// word becomes a hash of the bytes.
     pub fn write_bytes(&mut self, mfn: Mfn, data: &[u8]) -> Result<(), MemError> {
         assert_eq!(data.len() as u64, PAGE_SIZE, "frame writes are page-sized");
-        if !self.flags(mfn)?.allocated {
+        if self.flags(mfn)? & ALLOCATED == 0 {
             return Err(MemError::NotAllocated { mfn });
         }
         self.contents[mfn.0 as usize] = fnv1a(data);
@@ -199,28 +200,25 @@ impl PhysicalMemory {
         }
         let got = self.buddy.reserve_range(base, pages);
         for i in base.0..base.0 + pages {
-            self.flags[i as usize].reserved = true;
+            self.flags[i as usize] |= RESERVED;
         }
         Ok(got)
     }
 
     /// Returns true if the frame is reserved.
     pub fn is_reserved(&self, mfn: Mfn) -> bool {
-        self.flags(mfn).map(|f| f.reserved).unwrap_or(false)
+        self.flags(mfn).is_ok_and(|f| f & RESERVED != 0)
     }
 
     /// Returns true if the frame is allocated.
     pub fn is_allocated(&self, mfn: Mfn) -> bool {
-        self.flags(mfn).map(|f| f.allocated).unwrap_or(false)
+        self.flags(mfn).is_ok_and(|f| f & ALLOCATED != 0)
     }
 
     /// Kexec semantics: all ownership and reservations are forgotten (the
     /// new kernel starts with a fresh allocator), but contents survive.
     pub fn forget_ownership(&mut self) {
-        for f in &mut self.flags {
-            f.allocated = false;
-            f.reserved = false;
-        }
+        self.flags.fill(0);
         self.buddy = BuddyAllocator::new(self.total_frames());
     }
 
@@ -232,8 +230,8 @@ impl PhysicalMemory {
     /// Returns the number of frames scrubbed.
     pub fn scrub_unreserved(&mut self) -> u64 {
         let mut scrubbed = 0;
-        for (i, f) in self.flags.iter().enumerate() {
-            if !f.reserved && !f.allocated && self.contents[i] != 0 {
+        for (i, &f) in self.flags.iter().enumerate() {
+            if f == 0 && self.contents[i] != 0 {
                 self.contents[i] = 0;
                 self.bytes.remove(&(i as u64));
                 scrubbed += 1;
@@ -251,10 +249,10 @@ impl PhysicalMemory {
                 .flags
                 .get_mut(i as usize)
                 .ok_or(MemError::OutOfRange { mfn: Mfn(i) })?;
-            if !f.reserved {
+            if *f & RESERVED == 0 {
                 return Err(MemError::NotAllocated { mfn: Mfn(i) });
             }
-            f.allocated = true;
+            *f |= ALLOCATED;
         }
         Ok(())
     }
@@ -267,8 +265,8 @@ impl PhysicalMemory {
                 .flags
                 .get_mut(i as usize)
                 .ok_or(MemError::OutOfRange { mfn: Mfn(i) })?;
-            f.reserved = false;
-            if !f.allocated {
+            *f &= !RESERVED;
+            if *f & ALLOCATED == 0 {
                 // Return to the allocator frame by frame.
                 self.buddy.free(Extent::new(Mfn(i), PageOrder(0))).ok();
             }

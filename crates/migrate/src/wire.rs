@@ -278,17 +278,23 @@ pub fn delta_decode(old: &[u8], delta: &[u8]) -> Option<Vec<u8>> {
 }
 
 /// Default cap on committed dedup entries (see
-/// [`TransferCache::with_capacity`]). 64 Ki entries ≈ 1.5 MiB of cache
-/// state on each side — enough to cover every distinct content word of
-/// the fig. 12 fleets while bounding a long-lived destination's memory.
+/// [`TransferCache::with_capacity`]). 64 Ki entries (64 bytes each in the
+/// map, LRU links included) cover every distinct content word of the
+/// fig. 12 fleets while bounding a long-lived destination's memory.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
 
-/// One committed dedup entry: the content word plus the logical tick of
-/// its last touch (insert or dup hit), the LRU eviction key.
+/// One committed dedup entry: the content word, the logical tick of its
+/// last touch (insert or dup hit), and the digests of its neighbours in
+/// the LRU list. The head's `prev` and the tail's `next` name the entry
+/// itself.
 #[derive(Debug, Clone, Copy)]
 struct DedupEntry {
     word: u64,
     touched: u64,
+    /// Neighbour touched just before this entry.
+    prev: u128,
+    /// Neighbour touched just after this entry.
+    next: u128,
 }
 
 /// Observability counters of the dedup cache (see [`TransferCache::stats`]).
@@ -310,8 +316,12 @@ pub struct CacheStats {
 /// Committed + in-flight state of the dedup/delta cache.
 #[derive(Debug)]
 struct CacheInner {
-    /// Content the destination has materialised: digest → entry.
+    /// Content the destination has materialised: digest → entry. An
+    /// intrusive doubly-linked list threads the entries in touch order.
     dedup: HashMap<u128, DedupEntry>,
+    /// Digests at the LRU list's ends: (least, most) recently touched;
+    /// `None` exactly when `dedup` is empty.
+    lru: Option<(u128, u128)>,
     /// Last word acked per (vm tag, gfn) — the destination's current
     /// version of each page, used as the delta base.
     sent: HashMap<(u32, u64), u64>,
@@ -343,6 +353,7 @@ impl Default for CacheInner {
     fn default() -> Self {
         CacheInner {
             dedup: HashMap::new(),
+            lru: None,
             sent: HashMap::new(),
             journal_dedup: Vec::new(),
             journal_sent: Vec::new(),
@@ -357,32 +368,132 @@ impl Default for CacheInner {
 }
 
 impl CacheInner {
-    /// Inserts `digest → word` with an LRU touch, evicting the least
-    /// recently used *evictable* entry first when at capacity. Entries
-    /// touched since `begin_round` are pinned (frames already encoded in
-    /// this round may reference them), so the cap is soft. The victim is
-    /// the minimum `(touched, digest)` pair — a set minimum, deterministic
-    /// regardless of `HashMap` iteration order.
+    /// The content word held for `digest`, if the destination has it.
+    fn dedup_word(&self, digest: u128) -> Option<u64> {
+        self.dedup.get(&digest).map(|e| e.word)
+    }
+
+    /// The held entry an LRU link or end names.
+    fn linked(&mut self, digest: u128) -> &mut DedupEntry {
+        self.dedup
+            .get_mut(&digest)
+            .expect("LRU links name held entries")
+    }
+
+    /// Detaches `digest` (held) from the LRU list.
+    fn unlink(&mut self, digest: u128) {
+        let DedupEntry { prev, next, .. } = self.dedup[&digest];
+        let (head, tail) = self.lru.expect("a held entry is linked");
+        match (prev == digest, next == digest) {
+            (true, true) => self.lru = None,
+            (true, false) => {
+                self.linked(next).prev = next;
+                self.lru = Some((next, tail));
+            }
+            (false, true) => {
+                self.linked(prev).next = prev;
+                self.lru = Some((head, prev));
+            }
+            (false, false) => {
+                self.linked(prev).next = next;
+                self.linked(next).prev = prev;
+            }
+        }
+    }
+
+    /// Stamps `digest` (held, unlinked) with a fresh tick and appends it
+    /// at the LRU tail. Ticks are unique and only grow, so the list stays
+    /// sorted by `touched`.
+    fn push_tail(&mut self, digest: u128) {
+        self.tick += 1;
+        let touched = self.tick;
+        let prev = match self.lru {
+            None => {
+                self.lru = Some((digest, digest));
+                digest
+            }
+            Some((head, tail)) => {
+                self.linked(tail).next = digest;
+                self.lru = Some((head, digest));
+                tail
+            }
+        };
+        let e = self.linked(digest);
+        e.touched = touched;
+        e.prev = prev;
+        e.next = digest;
+    }
+
+    /// LRU touch: refreshes the entry's eviction rank and pins it for the
+    /// in-flight round.
+    fn touch(&mut self, digest: u128) {
+        self.unlink(digest);
+        self.push_tail(digest);
+    }
+
+    /// Counts one dedup lookup for a non-zero page and, on a hit,
+    /// touches the entry. Returns whether the destination holds the
+    /// content.
+    fn probe_dedup(&mut self, digest: u128) -> bool {
+        self.dup_lookups += 1;
+        if !self.dedup.contains_key(&digest) {
+            return false;
+        }
+        self.dup_hits += 1;
+        self.touch(digest);
+        true
+    }
+
+    /// Inserts `digest → word` (absent from the map) as the most recently
+    /// touched entry and journals it, evicting the least recently used
+    /// entry first when at capacity — unless that entry was touched since
+    /// `begin_round`: frames already encoded this round may reference it,
+    /// and every entry behind it in the list is newer still, so nothing is
+    /// evictable and the cap is soft. The list head is always the minimum
+    /// `touched`, so the victim is deterministic and found in O(1).
     ///
     /// Eviction is safe by construction: losing a digest only downgrades
     /// a *future* `Dup` to `Raw`/`Delta`; it never invalidates delta bases
     /// (those live in `sent`) or frames already on the wire.
     fn insert_dedup(&mut self, digest: u128, word: u64) {
-        self.tick += 1;
-        let touched = self.tick;
-        if !self.dedup.contains_key(&digest) && self.dedup.len() >= self.capacity {
-            let victim = self
-                .dedup
-                .iter()
-                .filter(|(_, e)| e.touched < self.round_start_tick)
-                .map(|(&k, e)| (e.touched, k))
-                .min();
-            if let Some((_, k)) = victim {
-                self.dedup.remove(&k);
+        debug_assert!(!self.dedup.contains_key(&digest));
+        if self.dedup.len() >= self.capacity {
+            let (lru, _) = self.lru.expect("a full cache has a list");
+            if self.dedup[&lru].touched < self.round_start_tick {
+                self.remove_dedup(lru);
                 self.evictions += 1;
             }
         }
-        self.dedup.insert(digest, DedupEntry { word, touched });
+        self.dedup.insert(
+            digest,
+            DedupEntry {
+                word,
+                touched: 0,
+                prev: digest,
+                next: digest,
+            },
+        );
+        self.push_tail(digest);
+        self.journal_dedup.push(digest);
+    }
+
+    /// Drops `digest` (held) from the LRU list and the map.
+    fn remove_dedup(&mut self, digest: u128) {
+        self.unlink(digest);
+        self.dedup.remove(&digest);
+    }
+
+    /// Forgets every dedup entry, including the in-flight inserts.
+    fn clear_dedup(&mut self) {
+        self.dedup.clear();
+        self.lru = None;
+        self.journal_dedup.clear();
+    }
+
+    /// Sets the delta base of `key` to `word`, journalling the old one.
+    fn record_sent(&mut self, key: (u32, u64), word: u64) {
+        let prev = self.sent.insert(key, word);
+        self.journal_sent.push((key, prev));
     }
 }
 
@@ -464,14 +575,12 @@ impl TransferCache {
     /// (what the destination actually holds).
     pub fn rollback_round(&self) {
         let mut c = self.lock();
-        let dedup_undo: Vec<u128> = c.journal_dedup.drain(..).collect();
-        for key in dedup_undo {
-            c.dedup.remove(&key);
+        while let Some(digest) = c.journal_dedup.pop() {
+            c.remove_dedup(digest);
         }
         // Restore in reverse so the oldest snapshot of a twice-written key
         // wins.
-        let sent_undo: Vec<((u32, u64), Option<u64>)> = c.journal_sent.drain(..).collect();
-        for (key, prev) in sent_undo.into_iter().rev() {
+        while let Some((key, prev)) = c.journal_sent.pop() {
             match prev {
                 Some(v) => {
                     c.sent.insert(key, v);
@@ -493,8 +602,7 @@ impl TransferCache {
     pub fn forget_vm(&self, vm: u32) {
         let mut c = self.lock();
         c.sent.retain(|&(tag, _), _| tag != vm);
-        c.dedup.clear();
-        c.journal_dedup.clear();
+        c.clear_dedup();
         c.journal_sent.retain(|&((tag, _), _)| tag != vm);
     }
 
@@ -531,23 +639,12 @@ impl TransferCache {
         if word == 0 {
             // Destination materialises zeros locally; record the base so a
             // later non-zero version can delta against a zero page.
-            let prev = c.sent.insert(key, 0);
-            c.journal_sent.push((key, prev));
+            c.record_sent(key, 0);
             return WireFrame::Zero;
         }
         let digest = digest_words(&[word]);
-        c.dup_lookups += 1;
-        if c.dedup.contains_key(&digest.as_u128()) {
-            // LRU touch: a hit pins the entry for the round and refreshes
-            // its eviction rank.
-            c.dup_hits += 1;
-            c.tick += 1;
-            let tick = c.tick;
-            if let Some(e) = c.dedup.get_mut(&digest.as_u128()) {
-                e.touched = tick;
-            }
-            let prev = c.sent.insert(key, word);
-            c.journal_sent.push((key, prev));
+        if c.probe_dedup(digest.as_u128()) {
+            c.record_sent(key, word);
             return WireFrame::Dup { digest };
         }
         let frame = match c.sent.get(&key).copied() {
@@ -566,9 +663,7 @@ impl TransferCache {
             _ => WireFrame::Raw { word },
         };
         c.insert_dedup(digest.as_u128(), word);
-        c.journal_dedup.push(digest.as_u128());
-        let prev = c.sent.insert(key, word);
-        c.journal_sent.push((key, prev));
+        c.record_sent(key, word);
         frame
     }
 
@@ -581,7 +676,7 @@ impl TransferCache {
         match frame {
             WireFrame::Raw { word } => Some(*word),
             WireFrame::Zero => Some(0),
-            WireFrame::Dup { digest } => self.lock().dedup.get(&digest.as_u128()).map(|e| e.word),
+            WireFrame::Dup { digest } => self.lock().dedup_word(digest.as_u128()),
             WireFrame::Delta { delta } => {
                 let old = expand_word(dst_current);
                 let page = delta_decode(&old, delta)?;
@@ -628,22 +723,13 @@ impl TransferCache {
             let gfn = g.0;
             let key = (vm, gfn);
             if word == 0 {
-                let prev = c.sent.insert(key, 0);
-                c.journal_sent.push((key, prev));
+                c.record_sent(key, 0);
                 wire_bytes += ring.push_zero(gfn);
                 continue;
             }
             debug_assert_eq!(digest, digest_words(&[word]));
-            c.dup_lookups += 1;
-            if c.dedup.contains_key(&digest.as_u128()) {
-                c.dup_hits += 1;
-                c.tick += 1;
-                let tick = c.tick;
-                if let Some(e) = c.dedup.get_mut(&digest.as_u128()) {
-                    e.touched = tick;
-                }
-                let prev = c.sent.insert(key, word);
-                c.journal_sent.push((key, prev));
+            if c.probe_dedup(digest.as_u128()) {
+                c.record_sent(key, word);
                 wire_bytes += ring.push_dup(gfn, digest);
                 continue;
             }
@@ -656,9 +742,7 @@ impl TransferCache {
                 }
             }
             c.insert_dedup(digest.as_u128(), word);
-            c.journal_dedup.push(digest.as_u128());
-            let prev = c.sent.insert(key, word);
-            c.journal_sent.push((key, prev));
+            c.record_sent(key, word);
         }
         wire_bytes
     }
@@ -673,7 +757,7 @@ impl TransferCache {
             FrameKind::Zero => Some(0),
             FrameKind::Dup => {
                 let digest = view.dup_digest()?;
-                self.lock().dedup.get(&digest.as_u128()).map(|e| e.word)
+                self.lock().dedup_word(digest.as_u128())
             }
             FrameKind::Delta => delta_apply_word(dst_current, view.payload),
         }
@@ -683,6 +767,7 @@ impl TransferCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::FrameRing;
     use crate::network::FrameKind;
     use hypertp_sim::SimRng;
 
@@ -1059,8 +1144,6 @@ mod tests {
     /// the identity the zero-copy engine path rests on.
     #[test]
     fn batch_encode_matches_per_page_path_exactly() {
-        use crate::framing::FrameRing;
-
         let mut rng = SimRng::new(0xba7c);
         for &cap in &[DEFAULT_CACHE_CAPACITY, 5] {
             let legacy = TransferCache::with_capacity(cap);
@@ -1132,5 +1215,241 @@ mod tests {
                 assert_eq!(legacy.sent_len(), ring_cache.sent_len());
             }
         }
+    }
+
+    /// In-test model of the eviction rule the LRU list replaces: the
+    /// victim is found by a linear scan for the minimum `(touched, digest)`
+    /// among entries the in-flight round has not touched.
+    struct ScanOracle {
+        /// digest → (word, touched).
+        dedup: HashMap<u128, (u64, u64)>,
+        sent: HashMap<(u32, u64), u64>,
+        journal_dedup: Vec<u128>,
+        journal_sent: Vec<((u32, u64), Option<u64>)>,
+        capacity: usize,
+        tick: u64,
+        round_start_tick: u64,
+        evictions: u64,
+        dup_hits: u64,
+        dup_lookups: u64,
+    }
+
+    impl ScanOracle {
+        fn new(capacity: usize) -> Self {
+            ScanOracle {
+                dedup: HashMap::new(),
+                sent: HashMap::new(),
+                journal_dedup: Vec::new(),
+                journal_sent: Vec::new(),
+                capacity,
+                tick: 0,
+                round_start_tick: 0,
+                evictions: 0,
+                dup_hits: 0,
+                dup_lookups: 0,
+            }
+        }
+
+        fn begin_round(&mut self) {
+            self.journal_dedup.clear();
+            self.journal_sent.clear();
+            self.round_start_tick = self.tick + 1;
+        }
+
+        fn commit_round(&mut self) {
+            self.journal_dedup.clear();
+            self.journal_sent.clear();
+        }
+
+        fn rollback_round(&mut self) {
+            for d in self.journal_dedup.drain(..) {
+                self.dedup.remove(&d);
+            }
+            for (key, prev) in self.journal_sent.drain(..).rev() {
+                match prev {
+                    Some(v) => self.sent.insert(key, v),
+                    None => self.sent.remove(&key),
+                };
+            }
+        }
+
+        fn forget_vm(&mut self, vm: u32) {
+            self.sent.retain(|&(tag, _), _| tag != vm);
+            self.dedup.clear();
+            self.journal_dedup.clear();
+            self.journal_sent.retain(|&((tag, _), _)| tag != vm);
+        }
+
+        fn clear(&mut self) {
+            *self = ScanOracle::new(self.capacity);
+        }
+
+        fn encode(&mut self, vm: u32, gfn: u64, word: u64) -> WireFrame {
+            let key = (vm, gfn);
+            let prev = self.sent.insert(key, word);
+            self.journal_sent.push((key, prev));
+            if word == 0 {
+                return WireFrame::Zero;
+            }
+            let digest = digest_words(&[word]);
+            let d = digest.as_u128();
+            self.dup_lookups += 1;
+            self.tick += 1;
+            if let Some(e) = self.dedup.get_mut(&d) {
+                self.dup_hits += 1;
+                e.1 = self.tick;
+                return WireFrame::Dup { digest };
+            }
+            let frame = match prev {
+                Some(old) if old != word => {
+                    let delta = delta_encode(&expand_word(old), &expand_word(word));
+                    if (delta.len() as u64) < PAGE_SIZE {
+                        WireFrame::Delta { delta }
+                    } else {
+                        WireFrame::Raw { word }
+                    }
+                }
+                _ => WireFrame::Raw { word },
+            };
+            if self.dedup.len() >= self.capacity {
+                let victim = self
+                    .dedup
+                    .iter()
+                    .filter(|(_, e)| e.1 < self.round_start_tick)
+                    .map(|(&k, e)| (e.1, k))
+                    .min();
+                if let Some((_, k)) = victim {
+                    self.dedup.remove(&k);
+                    self.evictions += 1;
+                }
+            }
+            self.dedup.insert(d, (word, self.tick));
+            self.journal_dedup.push(d);
+            frame
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats {
+                occupancy: self.dedup.len() as u64,
+                capacity: self.capacity as u64,
+                evictions: self.evictions,
+                dup_hits: self.dup_hits,
+                dup_lookups: self.dup_lookups,
+            }
+        }
+    }
+
+    /// Walks the LRU list head → tail: every held entry is visited once,
+    /// links agree in both directions, `touched` strictly increases, and
+    /// each entry matches the oracle's word and touch tick.
+    fn assert_lru_matches(cache: &TransferCache, oracle: &ScanOracle) {
+        let c = cache.lock();
+        let mut visited = 0;
+        if let Some((head, tail)) = c.lru {
+            let (mut digest, mut prev, mut last_touched) = (head, head, 0u64);
+            loop {
+                let e = c.dedup[&digest];
+                assert_eq!(e.prev, prev, "back link");
+                assert!(e.touched > last_touched, "touched strictly increases");
+                assert_eq!(oracle.dedup.get(&digest), Some(&(e.word, e.touched)));
+                last_touched = e.touched;
+                visited += 1;
+                if e.next == digest {
+                    assert_eq!(digest, tail, "the walk ends at the tail");
+                    break;
+                }
+                prev = digest;
+                digest = e.next;
+            }
+        }
+        assert_eq!(visited, c.dedup.len(), "walk covers the map");
+    }
+
+    /// Random protocol-respecting sequences over every cache operation,
+    /// tiny capacities and several VMs: after each step the O(1) LRU
+    /// cache must emit the same frames and bytes and report the same
+    /// counters as the linear-scan oracle.
+    #[test]
+    fn lru_list_matches_linear_scan_oracle() {
+        let mut rng = SimRng::new(0x1f0_0c1e);
+        let mut ring = FrameRing::new();
+        // A small word pool (index 0 = the zero page) so hits, deltas and
+        // evictions all recur at capacities 1–8.
+        let pick_word = |rng: &mut SimRng| rng.gen_range(13).wrapping_mul(0x0101_0101_0101);
+        let (mut evictions, mut hits) = (0, 0);
+        for case in 0..240 {
+            let cap = 1 + rng.gen_range(8) as usize;
+            let cache = TransferCache::with_capacity(cap);
+            let mut oracle = ScanOracle::new(cap);
+            let mut in_round = false;
+            for step in 0..200 {
+                let roll = rng.gen_range(100);
+                if !in_round && roll < 80 {
+                    cache.begin_round();
+                    oracle.begin_round();
+                    in_round = true;
+                } else if roll >= 98 {
+                    cache.clear();
+                    oracle.clear();
+                } else if roll >= 95 || !in_round {
+                    let vm = rng.gen_range(3) as u32;
+                    cache.forget_vm(vm);
+                    oracle.forget_vm(vm);
+                } else if roll < 40 {
+                    let (vm, gfn, word) = (
+                        rng.gen_range(3) as u32,
+                        rng.gen_range(16),
+                        pick_word(&mut rng),
+                    );
+                    assert_eq!(
+                        cache.encode_page(vm, gfn, word),
+                        oracle.encode(vm, gfn, word),
+                        "case {case} step {step}: encode_page"
+                    );
+                } else if roll < 65 {
+                    let vm = rng.gen_range(3) as u32;
+                    let n = 1 + rng.gen_range(12) as usize;
+                    let gfns: Vec<Gfn> = (0..n).map(|_| Gfn(rng.gen_range(16))).collect();
+                    let words: Vec<u64> = (0..n).map(|_| pick_word(&mut rng)).collect();
+                    let digests: Vec<Digest128> =
+                        words.iter().map(|&w| digest_words(&[w])).collect();
+                    ring.restart();
+                    ring.begin();
+                    let bytes = cache.encode_batch_into(vm, &gfns, &words, &digests, &mut ring);
+                    let mut oracle_bytes = 0;
+                    for (view, (&g, &w)) in ring.iter().zip(gfns.iter().zip(&words)) {
+                        let want = oracle.encode(vm, g.0, w);
+                        oracle_bytes += want.wire_bytes();
+                        assert_eq!(view.gfn, g.0);
+                        assert_eq!(
+                            view.to_frame().as_ref(),
+                            Some(&want),
+                            "case {case} step {step}: encode_batch_into"
+                        );
+                    }
+                    assert_eq!(ring.frame_count() as usize, n);
+                    assert_eq!(bytes, oracle_bytes, "case {case} step {step}: batch bytes");
+                    ring.commit();
+                } else if roll < 85 {
+                    cache.commit_round();
+                    oracle.commit_round();
+                    in_round = false;
+                } else {
+                    cache.rollback_round();
+                    oracle.rollback_round();
+                    in_round = false;
+                }
+                assert_eq!(cache.stats(), oracle.stats(), "case {case} step {step}");
+                assert_eq!(cache.dedup_len(), oracle.dedup.len());
+                assert_eq!(cache.sent_len(), oracle.sent.len());
+                assert_lru_matches(&cache, &oracle);
+            }
+            evictions += oracle.evictions;
+            hits += oracle.dup_hits;
+        }
+        assert!(
+            evictions > 1000 && hits > 1000,
+            "{evictions} evictions, {hits} hits"
+        );
     }
 }

@@ -108,6 +108,35 @@ fn main() {
     );
     assert_eq!(ring.grows(), grows_before, "ring regrew after warm-up");
 
+    // Eviction phase: a capped cache fed 256 fresh unique words per round
+    // on the same gfns evicts 256 LRU entries every round. Victim choice,
+    // unlinking and the map's insert/remove churn must stay off the
+    // allocator too. The long warm-up outlasts the dedup map's one-time
+    // resize under that churn, whose round depends on the hasher's random
+    // seed.
+    let capped = TransferCache::with_capacity(64);
+    let mut fresh = vec![0u64; gfns.len()];
+    let mut next_word = 0u64;
+    let mut evicting_round = |ring: &mut FrameRing, digests: &mut Vec<Digest128>| {
+        for w in fresh.iter_mut() {
+            next_word += 1;
+            *w = next_word.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        }
+        round(&capped, ring, &gfns, &fresh, digests, &mut current)
+    };
+    for _ in 0..200 {
+        evicting_round(&mut ring, &mut digests);
+    }
+    let evictions_before = capped.stats().evictions;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..400 {
+        evicting_round(&mut ring, &mut digests);
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    let evicted = capped.stats().evictions - evictions_before;
+    assert!(evicted >= 100_000, "only {evicted} evictions in the window");
+    assert_eq!(after - before, 0, "steady-state eviction must not allocate");
+
     // Part 2 — whole-migration version of the same invariant, via the
     // engine's capacity-growth probe: a second same-shape migration
     // reuses every scratch buffer without a single regrow. (Pool threads
@@ -153,5 +182,8 @@ fn main() {
         "second same-shape migration must not regrow any scratch buffer"
     );
     assert_eq!(steady.ring_capacity, warm.ring_capacity);
-    println!("alloc_probe: ok (0 hot-path allocations over 100 rounds, no scratch regrowth)");
+    println!(
+        "alloc_probe: ok (0 hot-path allocations over 100 rounds and {evicted} evictions, \
+         no scratch regrowth)"
+    );
 }
