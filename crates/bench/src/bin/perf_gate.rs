@@ -31,7 +31,11 @@
 //! 3. a run carrying an `encode` section (a `wire_smoke` artifact)
 //!    reports `encode.speedup` below the committed
 //!    `encode.speedup_floor` (the zero-copy frame ring stopped beating
-//!    the legacy per-page gather path).
+//!    the legacy per-page gather path), or
+//! 4. a `wire_smoke` run reports `idle_fleet.content_aware_vs_raw` (its
+//!    content-aware over raw idle-fleet wall time) above the committed
+//!    `idle_fleet.content_aware_vs_raw_ceiling` (the content-aware path
+//!    fell back toward its old wall-clock gap).
 //!
 //! **adaptive**: CI runs `adaptive_smoke` and hands the fresh artifact(s)
 //! here with the committed `BENCH_adaptive.json`. A run fails when:
@@ -208,6 +212,11 @@ fn gate_wire(committed: &str, runs: &[String]) -> Vec<String> {
         .get("encode")
         .and_then(|e| e.get("speedup_floor"))
         .and_then(Json::as_f64);
+    // Likewise the wall-clock ceiling inside `idle_fleet` (check 4).
+    let ratio_ceiling = wire
+        .get("idle_fleet")
+        .and_then(|f| f.get("content_aware_vs_raw_ceiling"))
+        .and_then(Json::as_f64);
 
     for path in runs {
         let run = match load(path) {
@@ -245,13 +254,36 @@ fn gate_wire(committed: &str, runs: &[String]) -> Vec<String> {
                 ));
             }
         }
+        // Only wire_smoke artifacts (those with an `idle_fleet` section)
+        // measure the content-aware vs raw wall time.
+        let ratio = match (ratio_ceiling, run.get("idle_fleet")) {
+            (Some(_), Some(_)) => get_f64(
+                path,
+                &run,
+                "idle_fleet.content_aware_vs_raw",
+                &mut violations,
+            ),
+            _ => None,
+        };
+        if let (Some(ratio), Some(ceiling)) = (ratio, ratio_ceiling) {
+            if ratio > ceiling {
+                violations.push(format!(
+                    "{path}: idle_fleet.content_aware_vs_raw {ratio:.2}x above committed \
+                     ceiling {ceiling:.2}x — the content-aware path slowed toward its old \
+                     wall-clock gap"
+                ));
+            }
+        }
         if violations.len() == before {
             match speedup {
                 Some(s) => println!(
                     "perf_gate: {path}: {n} identity fields ok, wire reduction {:.1}% >= \
-                     floor {floor:.1}%, encode speedup {s:.2}x >= floor {:.2}x",
+                     floor {floor:.1}%, encode speedup {s:.2}x >= floor {:.2}x, \
+                     content-aware {:.2}x raw <= ceiling {:.2}x",
                     pct.unwrap_or(f64::NAN),
                     speedup_floor.unwrap_or(f64::NAN),
+                    ratio.unwrap_or(f64::NAN),
+                    ratio_ceiling.unwrap_or(f64::NAN),
                 ),
                 None => println!(
                     "perf_gate: {path}: {n} identity fields ok, wire reduction {:.1}% >= floor {floor:.1}%",

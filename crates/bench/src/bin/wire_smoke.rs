@@ -22,11 +22,15 @@
 //!    identical page rounds (zeros, dups, uniques, re-dirtied pages) and
 //!    reports committed pages/second; the ring must beat the per-page
 //!    `encode_page` path by at least `encode.speedup_floor`.
+//! 6. **Wall-clock overhead**: the content-aware idle-fleet migration may
+//!    take at most `idle_fleet.content_aware_vs_raw_ceiling` times the
+//!    raw one's wall time, both measured in this run.
 //!
 //! Writes `BENCH_wire.json` (in the current directory, override with
 //! `WIRE_SMOKE_OUT`). CI's `perf_gate` reads the committed copy of this
 //! artifact and fails the build if a fresh run regresses below the
-//! committed `reduction_floor_pct` or `encode.speedup_floor`.
+//! committed `reduction_floor_pct` or `encode.speedup_floor`, or above
+//! the committed `idle_fleet.content_aware_vs_raw_ceiling`.
 
 use std::time::Instant;
 
@@ -53,6 +57,10 @@ const REDUCTION_FLOOR_PCT: f64 = 30.0;
 /// (measured well above 2x; the floor leaves CI-noise headroom).
 /// `perf_gate` enforces it.
 const ENCODE_SPEEDUP_FLOOR: f64 = 1.5;
+/// Committed ceiling on the idle fleet's content-aware wall time over its
+/// raw wall time, both from the same run (so machine speed cancels).
+/// `perf_gate` enforces it.
+const CONTENT_AWARE_VS_RAW_CEILING: f64 = 4.0;
 
 /// Outcome of one fleet migration: wall seconds, per-VM reports, and a
 /// destination fingerprint (serial-pool guest checksums + UISR bytes)
@@ -224,8 +232,10 @@ fn main() {
     let raw_bytes: u64 = raw.reports.iter().map(|r| r.bytes_sent).sum();
     let ca_bytes: u64 = ca.reports.iter().map(|r| r.bytes_sent).sum();
     let reduction_pct = (1.0 - wire.compression_ratio()) * 100.0;
+    let ca_vs_raw = ca.wall / raw.wall.max(1e-9);
     println!(
-        "== idle fleet == raw {} B in {:.3} s; content-aware {} B in {:.3} s",
+        "== idle fleet == raw {} B in {:.3} s; content-aware {} B in {:.3} s \
+         ({ca_vs_raw:.2}x raw, ceiling {CONTENT_AWARE_VS_RAW_CEILING}x)",
         raw_bytes, raw.wall, ca_bytes, ca.wall
     );
     println!(
@@ -250,6 +260,11 @@ fn main() {
     assert!(
         wire.count(FrameKind::Dup) > 0,
         "shared seed block must produce cross-VM dup frames"
+    );
+    assert!(
+        ca_vs_raw <= CONTENT_AWARE_VS_RAW_CEILING,
+        "content-aware idle fleet took {ca_vs_raw:.2}x the raw wall time \
+         (ceiling {CONTENT_AWARE_VS_RAW_CEILING}x)"
     );
     println!(
         "  dedup cache: {}/{} entries, {} evictions, hit rate {:.1}% ({}/{} lookups)",
@@ -361,6 +376,11 @@ fn main() {
                 .with("raw_secs", json::f(raw.wall))
                 .with("content_aware_bytes_sent", json::u(ca_bytes))
                 .with("content_aware_secs", json::f(ca.wall))
+                .with("content_aware_vs_raw", json::f(ca_vs_raw))
+                .with(
+                    "content_aware_vs_raw_ceiling",
+                    json::f(CONTENT_AWARE_VS_RAW_CEILING),
+                )
                 .with("wire_bytes", json::u(wire.wire_bytes()))
                 .with("raw_equivalent_bytes", json::u(wire.raw_equivalent_bytes()))
                 .with("wire_reduction_pct", json::f(reduction_pct))

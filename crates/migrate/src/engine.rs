@@ -627,6 +627,9 @@ impl MigrationTp {
         }
 
         if self.config.wire_mode == WireMode::ContentAware {
+            // Every page and the UISR are on the destination and the
+            // source domain is destroyed next: its delta bases are dead.
+            self.cache.release_vm(src_id.0);
             // Snapshot the shared cache into the report: occupancy and
             // capacity as of now, counters as deltas over this migration
             // (the cache is shared across engine clones, so absolute

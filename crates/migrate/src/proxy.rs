@@ -411,6 +411,9 @@ pub fn run_source(
         return Err(integrity(&vm_name));
     }
 
+    // The destination verified the VM and the source domain is destroyed
+    // next: its delta bases are dead.
+    tp.cache.release_vm(id.0);
     machine.clock().advance(total);
     hv.destroy_vm(machine, id)?;
 

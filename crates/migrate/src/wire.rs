@@ -14,17 +14,21 @@
 //!   has materialised (for [`WireFrame::Dup`] suppression — across
 //!   pre-copy rounds *and* across VMs sharing the engine in
 //!   `migrate_many`), and the last word acked per (vm, gfn) (for
-//!   [`WireFrame::Delta`] encoding).
+//!   [`WireFrame::Delta`] encoding), held in a dense per-VM table
+//!   indexed by gfn.
 //!
 //! **Transactional rounds.** The destination only acks a round as a whole;
 //! if the link drops mid-round, nothing the round shipped can be assumed
 //! present on the other side. The cache therefore journals every mutation
 //! between [`TransferCache::begin_round`] and
-//! [`TransferCache::commit_round`]; a drop triggers
+//! [`TransferCache::commit_round`] (a VM's delta-base table created in
+//! the round is dropped whole instead of journalled); a drop triggers
 //! [`TransferCache::rollback_round`], which restores the last committed
 //! state so the retry re-encodes against what the destination *actually*
 //! holds. An abandoned migration calls [`TransferCache::forget_vm`] (the
-//! destination shell is torn down, its pages gone).
+//! destination shell is torn down, its pages gone); a committed one calls
+//! [`TransferCache::release_vm`] (the source domain is gone, so its delta
+//! bases are dead).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -313,6 +317,148 @@ pub struct CacheStats {
     pub dup_lookups: u64,
 }
 
+/// The delta bases of one VM: the last word acked per gfn, dense over
+/// `0..words.len()`. A presence bit per gfn keeps "no base" (the page
+/// ships `Raw`) apart from "the base is the zero page" (a re-dirtied
+/// zero page ships a `Delta`). The span only ever grows, to the highest
+/// gfn the source has encoded for the VM; gfns come from the source's
+/// own memory map, never from the wire.
+#[derive(Debug, Default)]
+struct BaseTable {
+    /// Base word per gfn; meaningful only where the presence bit is set.
+    words: Vec<u64>,
+    /// Presence bitset, one bit per gfn of `words`.
+    present: Vec<u64>,
+    /// Set bits in `present`.
+    len: usize,
+    /// Created since the round opened: a rollback drops the whole table,
+    /// so its writes are not journalled.
+    fresh: bool,
+}
+
+impl BaseTable {
+    /// Extends the span to cover gfns `0..span`. Amortised: the vectors
+    /// grow geometrically, so a VM whose batches creep upward reallocates
+    /// O(log span) times in all.
+    fn cover(&mut self, span: u64) {
+        let span = usize::try_from(span).expect("gfn span fits in memory");
+        if span > self.words.len() {
+            self.words.resize(span, 0);
+            self.present.resize(span.div_ceil(64), 0);
+        }
+    }
+
+    /// The base of `gfn`, if the destination holds a version of it.
+    fn get(&self, gfn: u64) -> Option<u64> {
+        let i = gfn as usize;
+        let set = self
+            .present
+            .get(i / 64)
+            .is_some_and(|b| b >> (i % 64) & 1 == 1);
+        set.then(|| self.words[i])
+    }
+
+    /// Sets the base of `gfn` (inside the span) to `word`, returning the
+    /// one it replaces.
+    fn replace(&mut self, gfn: u64, word: u64) -> Option<u64> {
+        let i = gfn as usize;
+        let old = std::mem::replace(&mut self.words[i], word);
+        let (block, bit) = (&mut self.present[i / 64], 1u64 << (i % 64));
+        if *block & bit != 0 {
+            Some(old)
+        } else {
+            *block |= bit;
+            self.len += 1;
+            None
+        }
+    }
+
+    /// [`BaseTable::replace`], journalling the replaced base as `vm`'s
+    /// unless the table is fresh.
+    fn record(&mut self, journal: &mut Vec<BaseUndo>, vm: u32, gfn: u64, word: u64) {
+        let prev = self.replace(gfn, word);
+        if !self.fresh {
+            journal.push(BaseUndo { vm, gfn, prev });
+        }
+    }
+
+    /// Puts back a base [`BaseTable::replace`] returned (rollback).
+    fn restore(&mut self, gfn: u64, prev: Option<u64>) {
+        match prev {
+            Some(word) => {
+                self.replace(gfn, word);
+            }
+            None => {
+                let i = gfn as usize;
+                let (block, bit) = (&mut self.present[i / 64], 1u64 << (i % 64));
+                if *block & bit != 0 {
+                    *block &= !bit;
+                    self.len -= 1;
+                }
+            }
+        }
+    }
+}
+
+/// One delta base overwritten since `begin_round`: rollback puts `prev`
+/// back (`None` = the gfn had no base).
+#[derive(Debug, Clone, Copy)]
+struct BaseUndo {
+    vm: u32,
+    gfn: u64,
+    prev: Option<u64>,
+}
+
+/// The delta-base tables of the VMs in flight.
+#[derive(Debug, Default)]
+struct BaseTables {
+    by_vm: HashMap<u32, BaseTable>,
+    /// Tags whose tables are fresh (created since the round opened).
+    fresh: Vec<u32>,
+}
+
+impl BaseTables {
+    /// `vm`'s table, created fresh if it has none.
+    fn of(&mut self, vm: u32) -> &mut BaseTable {
+        let fresh = &mut self.fresh;
+        self.by_vm.entry(vm).or_insert_with(|| {
+            fresh.push(vm);
+            BaseTable {
+                fresh: true,
+                ..BaseTable::default()
+            }
+        })
+    }
+
+    /// The round's writes became committed state: fresh tables become
+    /// ordinary ones, journalled from now on.
+    fn seal(&mut self) {
+        for vm in self.fresh.drain(..) {
+            if let Some(table) = self.by_vm.get_mut(&vm) {
+                table.fresh = false;
+            }
+        }
+    }
+
+    /// Rolls the round back for fresh tables: the VM had no bases when
+    /// the round opened, so its whole table goes.
+    fn drop_fresh(&mut self) {
+        for vm in self.fresh.drain(..) {
+            self.by_vm.remove(&vm);
+        }
+    }
+
+    /// The base of (`vm`, `gfn`), if the destination holds one.
+    fn get(&self, vm: u32, gfn: u64) -> Option<u64> {
+        self.by_vm.get(&vm)?.get(gfn)
+    }
+
+    /// Bases held across all VMs.
+    fn len(&self) -> usize {
+        self.by_vm.values().map(|t| t.len).sum()
+    }
+}
+
 /// Committed + in-flight state of the dedup/delta cache.
 #[derive(Debug)]
 struct CacheInner {
@@ -322,15 +468,14 @@ struct CacheInner {
     /// Digests at the LRU list's ends: (least, most) recently touched;
     /// `None` exactly when `dedup` is empty.
     lru: Option<(u128, u128)>,
-    /// Last word acked per (vm tag, gfn) — the destination's current
-    /// version of each page, used as the delta base.
-    sent: HashMap<(u32, u64), u64>,
+    /// Delta bases per VM tag — the destination's current version of
+    /// each page.
+    bases: BaseTables,
     /// Digests inserted into `dedup` since `begin_round` (rollback:
     /// remove).
     journal_dedup: Vec<u128>,
-    /// Previous `sent` values overwritten since `begin_round` (rollback:
-    /// restore; `None` = the key was absent).
-    journal_sent: Vec<((u32, u64), Option<u64>)>,
+    /// Delta bases overwritten since `begin_round` (rollback: restore).
+    journal_bases: Vec<BaseUndo>,
     /// Max committed dedup entries before LRU eviction kicks in. A soft
     /// cap: entries touched by the in-flight round are never evicted (a
     /// `Dup` frame already encoded this round may reference them), so
@@ -354,9 +499,9 @@ impl Default for CacheInner {
         CacheInner {
             dedup: HashMap::new(),
             lru: None,
-            sent: HashMap::new(),
+            bases: BaseTables::default(),
             journal_dedup: Vec::new(),
-            journal_sent: Vec::new(),
+            journal_bases: Vec::new(),
             capacity: DEFAULT_CACHE_CAPACITY,
             tick: 0,
             round_start_tick: 0,
@@ -454,7 +599,7 @@ impl CacheInner {
     ///
     /// Eviction is safe by construction: losing a digest only downgrades
     /// a *future* `Dup` to `Raw`/`Delta`; it never invalidates delta bases
-    /// (those live in `sent`) or frames already on the wire.
+    /// (those live in `bases`) or frames already on the wire.
     fn insert_dedup(&mut self, digest: u128, word: u64) {
         debug_assert!(!self.dedup.contains_key(&digest));
         if self.dedup.len() >= self.capacity {
@@ -490,10 +635,18 @@ impl CacheInner {
         self.journal_dedup.clear();
     }
 
-    /// Sets the delta base of `key` to `word`, journalling the old one.
-    fn record_sent(&mut self, key: (u32, u64), word: u64) {
-        let prev = self.sent.insert(key, word);
-        self.journal_sent.push((key, prev));
+    /// Sets the delta base of (`vm`, `gfn`) to `word`, journalling the
+    /// old one.
+    fn record_sent(&mut self, vm: u32, gfn: u64, word: u64) {
+        let table = self.bases.of(vm);
+        table.cover(gfn + 1);
+        table.record(&mut self.journal_bases, vm, gfn, word);
+    }
+
+    /// Drops `vm`'s delta bases, including the in-flight ones.
+    fn drop_bases(&mut self, vm: u32) {
+        self.bases.by_vm.remove(&vm);
+        self.journal_bases.retain(|u| u.vm != vm);
     }
 }
 
@@ -552,11 +705,12 @@ impl TransferCache {
     pub fn begin_round(&self) {
         let mut c = self.lock();
         debug_assert!(
-            c.journal_dedup.is_empty() && c.journal_sent.is_empty(),
+            c.journal_dedup.is_empty() && c.journal_bases.is_empty() && c.bases.fresh.is_empty(),
             "previous round neither committed nor rolled back"
         );
         c.journal_dedup.clear();
-        c.journal_sent.clear();
+        c.journal_bases.clear();
+        c.bases.seal();
         // Entries touched from here on are pinned against eviction until
         // the round commits or rolls back: frames already encoded this
         // round may reference them.
@@ -567,7 +721,8 @@ impl TransferCache {
     pub fn commit_round(&self) {
         let mut c = self.lock();
         c.journal_dedup.clear();
-        c.journal_sent.clear();
+        c.journal_bases.clear();
+        c.bases.seal();
     }
 
     /// The round was lost on the wire: undo every mutation since
@@ -579,17 +734,12 @@ impl TransferCache {
             c.remove_dedup(digest);
         }
         // Restore in reverse so the oldest snapshot of a twice-written key
-        // wins.
-        while let Some((key, prev)) = c.journal_sent.pop() {
-            match prev {
-                Some(v) => {
-                    c.sent.insert(key, v);
-                }
-                None => {
-                    c.sent.remove(&key);
-                }
-            }
+        // wins. A span grown this round stays grown; its new gfns simply
+        // lose their presence bits. Tables created this round go whole.
+        while let Some(BaseUndo { vm, gfn, prev }) = c.journal_bases.pop() {
+            c.bases.of(vm).restore(gfn, prev);
         }
+        c.bases.drop_fresh();
     }
 
     /// Drops every entry belonging to `vm` (the destination shell was
@@ -601,9 +751,17 @@ impl TransferCache {
     /// map never claiming content the destination lacks.
     pub fn forget_vm(&self, vm: u32) {
         let mut c = self.lock();
-        c.sent.retain(|&(tag, _), _| tag != vm);
+        c.drop_bases(vm);
         c.clear_dedup();
-        c.journal_sent.retain(|&((tag, _), _)| tag != vm);
+    }
+
+    /// Drops `vm`'s delta bases once its migration has committed: the
+    /// source domain is destroyed and its tag is never reused, so the
+    /// bases are dead state, and a long-lived source holds bases only
+    /// for in-flight VMs. Dedup entries stay — the destination still
+    /// holds that content for later VMs to dup against.
+    pub fn release_vm(&self, vm: u32) {
+        self.lock().drop_bases(vm);
     }
 
     /// Wipes everything (tests; or a destination host restart). The
@@ -624,7 +782,7 @@ impl TransferCache {
 
     /// Tracked (vm, gfn) delta bases (diagnostics).
     pub fn sent_len(&self) -> usize {
-        self.lock().sent.len()
+        self.lock().bases.len()
     }
 
     /// Encodes one page for the wire, journalling the cache mutations the
@@ -635,19 +793,18 @@ impl TransferCache {
     /// pay), raw.
     pub fn encode_page(&self, vm: u32, gfn: u64, word: u64) -> WireFrame {
         let mut c = self.lock();
-        let key = (vm, gfn);
         if word == 0 {
             // Destination materialises zeros locally; record the base so a
             // later non-zero version can delta against a zero page.
-            c.record_sent(key, 0);
+            c.record_sent(vm, gfn, 0);
             return WireFrame::Zero;
         }
         let digest = digest_words(&[word]);
         if c.probe_dedup(digest.as_u128()) {
-            c.record_sent(key, word);
+            c.record_sent(vm, gfn, word);
             return WireFrame::Dup { digest };
         }
-        let frame = match c.sent.get(&key).copied() {
+        let frame = match c.bases.get(vm, gfn) {
             Some(old) if old != word => {
                 let delta = delta_encode(&expand_word(old), &expand_word(word));
                 if (delta.len() as u64) + WIRE_FRAME_HEADER < WIRE_FRAME_HEADER + PAGE_SIZE {
@@ -663,7 +820,7 @@ impl TransferCache {
             _ => WireFrame::Raw { word },
         };
         c.insert_dedup(digest.as_u128(), word);
-        c.record_sent(key, word);
+        c.record_sent(vm, gfn, word);
         frame
     }
 
@@ -707,6 +864,9 @@ impl TransferCache {
     ///
     /// `digests[i]` must equal `digest_words(&[words[i]])`; it is only
     /// consulted for non-zero words, matching `encode_page`.
+    ///
+    /// The VM's base table is looked up once per batch and grown at most
+    /// once, to the batch's highest gfn.
     pub fn encode_batch_into(
         &self,
         vm: u32,
@@ -718,22 +878,27 @@ impl TransferCache {
         debug_assert_eq!(gfns.len(), words.len());
         debug_assert_eq!(words.len(), digests.len());
         let mut c = self.lock();
+        // Borrow the table out of the map for the batch, so the loop can
+        // mutate it and the dedup state side by side.
+        let mut table = std::mem::take(c.bases.of(vm));
+        if let Some(top) = gfns.iter().map(|g| g.0).max() {
+            table.cover(top + 1);
+        }
         let mut wire_bytes = 0u64;
         for ((&g, &word), &digest) in gfns.iter().zip(words).zip(digests) {
             let gfn = g.0;
-            let key = (vm, gfn);
             if word == 0 {
-                c.record_sent(key, 0);
+                table.record(&mut c.journal_bases, vm, gfn, 0);
                 wire_bytes += ring.push_zero(gfn);
                 continue;
             }
             debug_assert_eq!(digest, digest_words(&[word]));
             if c.probe_dedup(digest.as_u128()) {
-                c.record_sent(key, word);
+                table.record(&mut c.journal_bases, vm, gfn, word);
                 wire_bytes += ring.push_dup(gfn, digest);
                 continue;
             }
-            match c.sent.get(&key).copied() {
+            match table.get(gfn) {
                 Some(old) if old != word => {
                     wire_bytes += ring.push_delta_words(gfn, old, word);
                 }
@@ -742,8 +907,9 @@ impl TransferCache {
                 }
             }
             c.insert_dedup(digest.as_u128(), word);
-            c.record_sent(key, word);
+            table.record(&mut c.journal_bases, vm, gfn, word);
         }
+        *c.bases.of(vm) = table;
         wire_bytes
     }
 
@@ -1223,9 +1389,10 @@ mod tests {
     struct ScanOracle {
         /// digest → (word, touched).
         dedup: HashMap<u128, (u64, u64)>,
-        sent: HashMap<(u32, u64), u64>,
+        /// (vm, gfn) → delta base, as a plain map.
+        bases: HashMap<(u32, u64), u64>,
         journal_dedup: Vec<u128>,
-        journal_sent: Vec<((u32, u64), Option<u64>)>,
+        journal_bases: Vec<((u32, u64), Option<u64>)>,
         capacity: usize,
         tick: u64,
         round_start_tick: u64,
@@ -1238,9 +1405,9 @@ mod tests {
         fn new(capacity: usize) -> Self {
             ScanOracle {
                 dedup: HashMap::new(),
-                sent: HashMap::new(),
+                bases: HashMap::new(),
                 journal_dedup: Vec::new(),
-                journal_sent: Vec::new(),
+                journal_bases: Vec::new(),
                 capacity,
                 tick: 0,
                 round_start_tick: 0,
@@ -1252,32 +1419,32 @@ mod tests {
 
         fn begin_round(&mut self) {
             self.journal_dedup.clear();
-            self.journal_sent.clear();
+            self.journal_bases.clear();
             self.round_start_tick = self.tick + 1;
         }
 
         fn commit_round(&mut self) {
             self.journal_dedup.clear();
-            self.journal_sent.clear();
+            self.journal_bases.clear();
         }
 
         fn rollback_round(&mut self) {
             for d in self.journal_dedup.drain(..) {
                 self.dedup.remove(&d);
             }
-            for (key, prev) in self.journal_sent.drain(..).rev() {
+            for (key, prev) in self.journal_bases.drain(..).rev() {
                 match prev {
-                    Some(v) => self.sent.insert(key, v),
-                    None => self.sent.remove(&key),
+                    Some(v) => self.bases.insert(key, v),
+                    None => self.bases.remove(&key),
                 };
             }
         }
 
         fn forget_vm(&mut self, vm: u32) {
-            self.sent.retain(|&(tag, _), _| tag != vm);
+            self.bases.retain(|&(tag, _), _| tag != vm);
             self.dedup.clear();
             self.journal_dedup.clear();
-            self.journal_sent.retain(|&((tag, _), _)| tag != vm);
+            self.journal_bases.retain(|&((tag, _), _)| tag != vm);
         }
 
         fn clear(&mut self) {
@@ -1286,8 +1453,8 @@ mod tests {
 
         fn encode(&mut self, vm: u32, gfn: u64, word: u64) -> WireFrame {
             let key = (vm, gfn);
-            let prev = self.sent.insert(key, word);
-            self.journal_sent.push((key, prev));
+            let prev = self.bases.insert(key, word);
+            self.journal_bases.push((key, prev));
             if word == 0 {
                 return WireFrame::Zero;
             }
@@ -1365,10 +1532,53 @@ mod tests {
         assert_eq!(visited, c.dedup.len(), "walk covers the map");
     }
 
+    /// Gfn span of `vm`'s base table (0 when it has none).
+    fn span(cache: &TransferCache, vm: u32) -> usize {
+        cache
+            .lock()
+            .bases
+            .by_vm
+            .get(&vm)
+            .map_or(0, |t| t.words.len())
+    }
+
+    /// Situations the dense base table must get right, counted so the
+    /// oracle test can require that its random walk reaches them.
+    #[derive(Default)]
+    struct TableCoverage {
+        /// Rollbacks of a round that grew an existing table's span.
+        grown_rollbacks: u64,
+        /// Rollbacks of a round that created a table.
+        fresh_rollbacks: u64,
+        /// `forget_vm` calls on a VM whose span reaches the sparse gfns.
+        grown_forgets: u64,
+        /// Non-zero encodes of a base-less gfn inside the span (must not
+        /// be mistaken for a zero base).
+        absent_in_span: u64,
+        /// Non-zero encodes against a zero base.
+        zero_base: u64,
+    }
+
+    impl TableCoverage {
+        /// Classifies one upcoming encode against the oracle's bases.
+        fn note(&mut self, oracle: &ScanOracle, span: usize, vm: u32, gfn: u64, word: u64) {
+            if word == 0 {
+                return;
+            }
+            match oracle.bases.get(&(vm, gfn)) {
+                None if (gfn as usize) < span => self.absent_in_span += 1,
+                Some(0) => self.zero_base += 1,
+                _ => {}
+            }
+        }
+    }
+
     /// Random protocol-respecting sequences over every cache operation,
     /// tiny capacities and several VMs: after each step the O(1) LRU
     /// cache must emit the same frames and bytes and report the same
-    /// counters as the linear-scan oracle.
+    /// counters as the linear-scan oracle. A quarter of the gfns are
+    /// sparse, up to 2^20, so base tables grow mid-round, roll back grown
+    /// and are forgotten grown.
     #[test]
     fn lru_list_matches_linear_scan_oracle() {
         let mut rng = SimRng::new(0x1f0_0c1e);
@@ -1376,31 +1586,45 @@ mod tests {
         // A small word pool (index 0 = the zero page) so hits, deltas and
         // evictions all recur at capacities 1–8.
         let pick_word = |rng: &mut SimRng| rng.gen_range(13).wrapping_mul(0x0101_0101_0101);
+        // Dense low gfns plus 64 sparse ones spread up to 2^20, few enough
+        // that they recur within a case.
+        let pick_gfn = |rng: &mut SimRng| match rng.gen_range(4) {
+            0 => (rng.gen_range(16) << 16) | rng.gen_range(4),
+            _ => rng.gen_range(16),
+        };
         let (mut evictions, mut hits) = (0, 0);
+        let mut cover = TableCoverage::default();
         for case in 0..240 {
             let cap = 1 + rng.gen_range(8) as usize;
             let cache = TransferCache::with_capacity(cap);
             let mut oracle = ScanOracle::new(cap);
             let mut in_round = false;
+            let mut spans_at_begin = [0; 3];
+            let spans = |cache: &TransferCache| [0, 1, 2].map(|vm| span(cache, vm));
             for step in 0..200 {
                 let roll = rng.gen_range(100);
                 if !in_round && roll < 80 {
                     cache.begin_round();
                     oracle.begin_round();
+                    spans_at_begin = spans(&cache);
                     in_round = true;
                 } else if roll >= 98 {
                     cache.clear();
                     oracle.clear();
                 } else if roll >= 95 || !in_round {
                     let vm = rng.gen_range(3) as u32;
+                    if span(&cache, vm) > 1 << 16 {
+                        cover.grown_forgets += 1;
+                    }
                     cache.forget_vm(vm);
                     oracle.forget_vm(vm);
                 } else if roll < 40 {
                     let (vm, gfn, word) = (
                         rng.gen_range(3) as u32,
-                        rng.gen_range(16),
+                        pick_gfn(&mut rng),
                         pick_word(&mut rng),
                     );
+                    cover.note(&oracle, span(&cache, vm), vm, gfn, word);
                     assert_eq!(
                         cache.encode_page(vm, gfn, word),
                         oracle.encode(vm, gfn, word),
@@ -1409,15 +1633,17 @@ mod tests {
                 } else if roll < 65 {
                     let vm = rng.gen_range(3) as u32;
                     let n = 1 + rng.gen_range(12) as usize;
-                    let gfns: Vec<Gfn> = (0..n).map(|_| Gfn(rng.gen_range(16))).collect();
+                    let gfns: Vec<Gfn> = (0..n).map(|_| Gfn(pick_gfn(&mut rng))).collect();
                     let words: Vec<u64> = (0..n).map(|_| pick_word(&mut rng)).collect();
                     let digests: Vec<Digest128> =
                         words.iter().map(|&w| digest_words(&[w])).collect();
+                    let span_before = span(&cache, vm);
                     ring.restart();
                     ring.begin();
                     let bytes = cache.encode_batch_into(vm, &gfns, &words, &digests, &mut ring);
                     let mut oracle_bytes = 0;
                     for (view, (&g, &w)) in ring.iter().zip(gfns.iter().zip(&words)) {
+                        cover.note(&oracle, span_before, vm, g.0, w);
                         let want = oracle.encode(vm, g.0, w);
                         oracle_bytes += want.wire_bytes();
                         assert_eq!(view.gfn, g.0);
@@ -1434,14 +1660,26 @@ mod tests {
                     cache.commit_round();
                     oracle.commit_round();
                     in_round = false;
+                    if roll < 70 {
+                        // Nothing happened since the commit: undoes nothing.
+                        cache.rollback_round();
+                        oracle.rollback_round();
+                    }
                 } else {
+                    for (now, then) in spans(&cache).iter().zip(&spans_at_begin) {
+                        match (now, then) {
+                            (1.., 0) => cover.fresh_rollbacks += 1,
+                            _ if now > then => cover.grown_rollbacks += 1,
+                            _ => {}
+                        }
+                    }
                     cache.rollback_round();
                     oracle.rollback_round();
                     in_round = false;
                 }
                 assert_eq!(cache.stats(), oracle.stats(), "case {case} step {step}");
                 assert_eq!(cache.dedup_len(), oracle.dedup.len());
-                assert_eq!(cache.sent_len(), oracle.sent.len());
+                assert_eq!(cache.sent_len(), oracle.bases.len());
                 assert_lru_matches(&cache, &oracle);
             }
             evictions += oracle.evictions;
@@ -1450,6 +1688,23 @@ mod tests {
         assert!(
             evictions > 1000 && hits > 1000,
             "{evictions} evictions, {hits} hits"
+        );
+        let TableCoverage {
+            grown_rollbacks,
+            fresh_rollbacks,
+            grown_forgets,
+            absent_in_span,
+            zero_base,
+        } = cover;
+        assert!(
+            grown_rollbacks > 500
+                && fresh_rollbacks > 500
+                && grown_forgets > 500
+                && absent_in_span > 10_000
+                && zero_base > 500,
+            "{grown_rollbacks} grown rollbacks, {fresh_rollbacks} fresh-table rollbacks, \
+             {grown_forgets} grown forgets, {absent_in_span} base-less in-span encodes, \
+             {zero_base} zero-base encodes"
         );
     }
 }

@@ -64,6 +64,48 @@ fn round(
     wb
 }
 
+/// Allocations the first `encode_batch_into` of a fresh VM may make,
+/// whatever its page count. 16 are expected: the dedup map and its
+/// journal each doubling up to the 65 distinct words (six apiece), the
+/// VM's table slot, word vector and presence bitset, and the list of
+/// tables created this round. A fresh table's writes are not journalled.
+const FIRST_ROUND_ALLOC_BOUND: u64 = 20;
+
+/// Counts the allocations of the first encode of a fresh VM with `pages`
+/// pages on a fresh cache, idle-guest shaped: zero pages, 64 unique
+/// words and a recurring word, so the dedup map holds the same few
+/// entries at any size. The frame ring is warmed on a throwaway cache
+/// first, as the engine's scratch ring is warm after its first VM.
+fn first_round_allocs(pages: u64) -> u64 {
+    let gfns: Vec<Gfn> = (0..pages).map(Gfn).collect();
+    let stride = pages / 64;
+    let words: Vec<u64> = (0..pages)
+        .map(|g| match (g % stride, g / stride) {
+            (0, k) => k.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
+            (1, _) => 0x5a5a_5a5a,
+            _ => 0,
+        })
+        .collect();
+    let mut digests = Vec::new();
+    digest_pages_into(&words, &mut digests);
+    let mut ring = FrameRing::new();
+    let encode = |cache: &TransferCache, ring: &mut FrameRing| {
+        cache.begin_round();
+        ring.restart();
+        ring.begin();
+        cache.encode_batch_into(3, &gfns, &words, &digests, ring);
+        cache.commit_round();
+        ring.commit();
+    };
+    encode(&TransferCache::new(), &mut ring);
+    let cache = TransferCache::new();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    encode(&cache, &mut ring);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(cache.sent_len() as u64, pages, "every page got a base");
+    allocs
+}
+
 // Plain main(), no libtest harness (`harness = false` in Cargo.toml):
 // the allocation counter is process-global and the harness's own threads
 // allocate at unpredictable points, so the probe must be the only thread
@@ -136,6 +178,23 @@ fn main() {
     let evicted = capped.stats().evictions - evictions_before;
     assert!(evicted >= 100_000, "only {evicted} evictions in the window");
     assert_eq!(after - before, 0, "steady-state eviction must not allocate");
+
+    // First round of a fresh VM: setting up its delta-base table must
+    // cost a fixed number of allocations, not one per doubling of the
+    // page count.
+    let first_round = [65_536u64, 262_144].map(first_round_allocs);
+    println!("alloc_probe: first-round allocations {first_round:?} at 65,536 / 262,144 pages");
+    assert_eq!(
+        first_round[0], first_round[1],
+        "first-round allocations grow with page count"
+    );
+    for allocs in first_round {
+        assert!(
+            allocs <= FIRST_ROUND_ALLOC_BOUND,
+            "first encode of a fresh VM made {allocs} allocations \
+             (bound {FIRST_ROUND_ALLOC_BOUND}, independent of page count)"
+        );
+    }
 
     // Part 2 — whole-migration version of the same invariant, via the
     // engine's capacity-growth probe: a second same-shape migration

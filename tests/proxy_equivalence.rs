@@ -222,6 +222,11 @@ fn proxy_recovers_over_real_socket() {
     let _ = std::fs::remove_file(socket_path("chaos"));
 
     assert_eq!(src_report.src_checksum, dst_report.checksum);
+    assert_eq!(
+        tp.cache.sent_len(),
+        0,
+        "the source releases a VM's delta bases after its DoneAck"
+    );
     let log = tp.faults.log();
     let expect: HashMap<_, _> = [
         (InjectionPoint::LinkDrop, RecoveryAction::RetriedWithBackoff),

@@ -7,7 +7,8 @@
 
 use hypertp::prelude::*;
 use hypertp_machine::Extent;
-use hypertp_migrate::{FrameKind, MigrationReport};
+use hypertp_migrate::{FrameKind, MigrationReport, TransferCache};
+use hypertp_sim::hash::digest_bytes;
 use hypertp_sim::WorkerPool;
 
 const VMS: u32 = 3;
@@ -23,13 +24,14 @@ struct Destination {
 
 /// Seeds a deterministic fleet: per-VM unique words, plus a block that is
 /// byte-identical across VMs (cross-VM dedup fodder), everything else
-/// zero. Migrates Xen→KVM and captures the destination.
+/// zero. Migrates Xen→KVM and captures the destination, the reports and
+/// the engine's transfer cache.
 fn run_fleet(
     wire_mode: WireMode,
     pool: WorkerPool,
     dirty_rate: f64,
     threshold: usize,
-) -> (Destination, Vec<MigrationReport>) {
+) -> (Destination, Vec<MigrationReport>, TransferCache) {
     let registry = default_registry();
     let clock = SimClock::new();
     let mut src_m = Machine::with_clock(MachineSpec::m1(), clock.clone());
@@ -97,6 +99,7 @@ fn run_fleet(
             guest_reads,
         },
         reports,
+        tp.cache,
     )
 }
 
@@ -110,8 +113,9 @@ fn merged(reports: &[MigrationReport]) -> WireStats {
 
 #[test]
 fn content_aware_lands_byte_identical_destination() {
-    let (raw_dst, raw_reports) = run_fleet(WireMode::Raw, WorkerPool::serial(), 0.0, 8192);
-    let (ca_dst, ca_reports) = run_fleet(WireMode::ContentAware, WorkerPool::serial(), 0.0, 8192);
+    let (raw_dst, raw_reports, _) = run_fleet(WireMode::Raw, WorkerPool::serial(), 0.0, 8192);
+    let (ca_dst, ca_reports, _) =
+        run_fleet(WireMode::ContentAware, WorkerPool::serial(), 0.0, 8192);
     assert_eq!(ca_dst, raw_dst, "wire codec altered the destination");
 
     // The raw path reports no frames; the content-aware path must both
@@ -136,10 +140,10 @@ fn content_aware_lands_byte_identical_destination() {
 fn content_aware_outcome_is_identical_for_any_worker_count() {
     // threshold 1 forces every round through the pipelined gather→encode
     // path even on small dirty sets.
-    let (baseline_dst, baseline_reports) =
+    let (baseline_dst, baseline_reports, _) =
         run_fleet(WireMode::ContentAware, WorkerPool::serial(), 0.0, 1);
     for workers in [2usize, 8] {
-        let (dst, reports) = run_fleet(WireMode::ContentAware, WorkerPool::new(workers), 0.0, 1);
+        let (dst, reports, _) = run_fleet(WireMode::ContentAware, WorkerPool::new(workers), 0.0, 1);
         assert_eq!(
             dst, baseline_dst,
             "destination diverged with {workers} workers"
@@ -157,7 +161,7 @@ fn cross_vm_dedup_suppresses_duplicate_pages() {
     // migrate_many shares one TransferCache across the fleet: the shared
     // seed block travels raw once (first VM) and as 32-byte dup frames
     // afterwards.
-    let (_, reports) = run_fleet(WireMode::ContentAware, WorkerPool::serial(), 0.0, 8192);
+    let (_, reports, _) = run_fleet(WireMode::ContentAware, WorkerPool::serial(), 0.0, 8192);
     assert_eq!(reports.len(), VMS as usize);
     let first_dups = reports[0].wire.count(FrameKind::Dup);
     for r in &reports[1..] {
@@ -183,7 +187,7 @@ fn dirty_guest_pages_travel_as_deltas() {
     // previous round; those must go as XOR+RLE deltas, and the migration
     // still verifies contents at pause time (verify_contents is on inside
     // run_fleet, so a codec bug fails the migrate_many call itself).
-    let (_, reports) = run_fleet(WireMode::ContentAware, WorkerPool::serial(), 2000.0, 8192);
+    let (_, reports, _) = run_fleet(WireMode::ContentAware, WorkerPool::serial(), 2000.0, 8192);
     let wire = merged(&reports);
     assert!(
         wire.count(FrameKind::Delta) > 0,
@@ -192,4 +196,31 @@ fn dirty_guest_pages_travel_as_deltas() {
     // Deltas of single-word pages are tiny: the delta payload bytes must
     // be far below re-sending those pages raw.
     assert!(wire.bytes(FrameKind::Delta) < wire.count(FrameKind::Delta) * 4096 / 4);
+}
+
+/// Digest of everything observable about the dirtying fleet below —
+/// every report's `Debug` render and the destination — recorded before
+/// committed migrations released their delta bases.
+const DIRTY_FLEET_FINGERPRINT: &str = "634feb6fe49442d658b53b0af30cf94c";
+/// Dedup entries the same run leaves in the shared cache.
+const DIRTY_FLEET_DEDUP_LEN: usize = 12_670;
+
+#[test]
+fn committed_migrations_release_their_delta_bases() {
+    // A dirtying fleet, so later rounds ship deltas against the bases
+    // the release must leave alone until each VM commits.
+    let (dst, reports, cache) =
+        run_fleet(WireMode::ContentAware, WorkerPool::serial(), 2000.0, 8192);
+    assert!(merged(&reports).count(FrameKind::Delta) > 0);
+    assert_eq!(cache.sent_len(), 0, "committed VMs hold no delta bases");
+    assert_eq!(
+        cache.dedup_len(),
+        DIRTY_FLEET_DEDUP_LEN,
+        "dedup entries outlive the release"
+    );
+    let fingerprint = digest_bytes(format!("{reports:?}{dst:?}").as_bytes()).hex();
+    assert_eq!(
+        fingerprint, DIRTY_FLEET_FINGERPRINT,
+        "releasing bases changed a report or the destination"
+    );
 }
