@@ -40,8 +40,9 @@ done
 
 echo "== perf gate (identity + wire compression + encode speedup floors) =="
 # Run perf_smoke twice (wall-clock jitters; identity and compression must
-# not) plus one wire_smoke (ring-vs-legacy identity and the encode-path
-# speedup floor) and gate on the committed BENCH_wire.json floors.
+# not) plus one wire_smoke (pinned fleet fingerprints, the encode-path
+# speedup floor and the content-aware/raw ceiling) and gate on the
+# committed BENCH_wire.json bounds.
 # Artifacts go to a scratch dir so the committed BENCH_*.json stay
 # untouched.
 gate_dir=$(mktemp -d)

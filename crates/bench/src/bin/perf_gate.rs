@@ -11,8 +11,9 @@
 //! perf_gate rehype   <committed BENCH_rehype.json>   <rehype_smoke run 1> [...]
 //! perf_gate slo      <committed BENCH_slo.json>      <slo_smoke run 1> [...]
 //! perf_gate exposure <committed BENCH_exposure.json> <exposure_smoke run 1> [...]
-//! perf_gate <committed BENCH_wire.json> <perf_smoke run...>   # legacy = wire
 //! ```
+//!
+//! An unknown mode prints this usage and exits non-zero.
 //!
 //! **wire**: CI runs `perf_smoke` twice (timings jitter; identity and
 //! compression must not) plus one fresh `wire_smoke`, and hands the
@@ -21,21 +22,24 @@
 //!
 //! 1. any `identical`-suffixed field in any run is not `"true"` (the
 //!    worker pool or the wire codec changed results; for `wire_smoke`
-//!    runs this covers the ring-vs-legacy and encode-wire-byte identity
-//!    fields too),
+//!    runs this covers the pinned fleet fingerprints and the
+//!    encode-wire-byte identity fields too),
 //! 2. any run's wire reduction (`migrate_many.wire_reduction_pct` for
 //!    `perf_smoke` artifacts, `idle_fleet.wire_reduction_pct` for
 //!    `wire_smoke` ones) falls below the committed artifact's
 //!    `reduction_floor_pct` (the content-aware path stopped earning its
 //!    keep), or
-//! 3. a run carrying an `encode` section (a `wire_smoke` artifact)
-//!    reports `encode.speedup` below the committed
-//!    `encode.speedup_floor` (the zero-copy frame ring stopped beating
-//!    the legacy per-page gather path), or
+//! 3. a `wire_smoke` run (one with an `idle_fleet` section) reports
+//!    `encode.speedup` below the committed `encode.speedup_floor`, or
+//!    lacks it (the batch frame-ring encoder stopped beating the
+//!    per-page `encode_page` path), or
 //! 4. a `wire_smoke` run reports `idle_fleet.content_aware_vs_raw` (its
 //!    content-aware over raw idle-fleet wall time) above the committed
-//!    `idle_fleet.content_aware_vs_raw_ceiling` (the content-aware path
-//!    fell back toward its old wall-clock gap).
+//!    `idle_fleet.content_aware_vs_raw_ceiling`, or lacks it (the
+//!    content-aware path fell back toward its old wall-clock gap).
+//!
+//! Checks 3 and 4 apply only when the committed artifact carries the
+//! bound; `perf_smoke` runs have neither section and skip both.
 //!
 //! **adaptive**: CI runs `adaptive_smoke` and hands the fresh artifact(s)
 //! here with the committed `BENCH_adaptive.json`. A run fails when:
@@ -207,7 +211,7 @@ fn gate_wire(committed: &str, runs: &[String]) -> Vec<String> {
         return vec![format!("{committed}: missing reduction_floor_pct")];
     };
     // The encode floor lives inside the committed artifact's `encode`
-    // section; older committed artifacts without one simply skip check 3.
+    // section (check 3).
     let speedup_floor = wire
         .get("encode")
         .and_then(|e| e.get("speedup_floor"))
@@ -242,29 +246,24 @@ fn gate_wire(committed: &str, runs: &[String]) -> Vec<String> {
             Some(_) => {}
             None => violations.push(format!("{path}: missing wire_reduction_pct")),
         }
-        let speedup = run
-            .get("encode")
-            .and_then(|e| e.get("speedup"))
-            .and_then(Json::as_f64);
+        // Only wire_smoke artifacts (those with an `idle_fleet` section)
+        // measure the encode speedup and the content-aware vs raw wall
+        // time; such a run missing either bounded figure fails.
+        let wire_smoke = run.get("idle_fleet").is_some();
+        let mut bounded = |bound: Option<f64>, dotted: &str| match bound {
+            Some(_) if wire_smoke => get_f64(path, &run, dotted, &mut violations),
+            _ => None,
+        };
+        let speedup = bounded(speedup_floor, "encode.speedup");
+        let ratio = bounded(ratio_ceiling, "idle_fleet.content_aware_vs_raw");
         if let (Some(speedup), Some(floor)) = (speedup, speedup_floor) {
             if speedup < floor {
                 violations.push(format!(
                     "{path}: encode.speedup {speedup:.2}x below committed floor {floor:.2}x \
-                     — the frame ring stopped beating the legacy gather path"
+                     — the frame ring stopped beating the per-page encode path"
                 ));
             }
         }
-        // Only wire_smoke artifacts (those with an `idle_fleet` section)
-        // measure the content-aware vs raw wall time.
-        let ratio = match (ratio_ceiling, run.get("idle_fleet")) {
-            (Some(_), Some(_)) => get_f64(
-                path,
-                &run,
-                "idle_fleet.content_aware_vs_raw",
-                &mut violations,
-            ),
-            _ => None,
-        };
         if let (Some(ratio), Some(ceiling)) = (ratio, ratio_ceiling) {
             if ratio > ceiling {
                 violations.push(format!(
@@ -688,9 +687,7 @@ fn run() -> Result<(), Vec<String>> {
         Some("rehype") => ("rehype", &args[1..]),
         Some("slo") => ("slo", &args[1..]),
         Some("exposure") => ("exposure", &args[1..]),
-        // Legacy positional form: first arg is the committed wire artifact.
-        Some(_) => ("wire", &args[..]),
-        None => return Err(usage()),
+        _ => return Err(usage()),
     };
     if rest.len() < 2 {
         return Err(usage());
@@ -723,5 +720,84 @@ fn main() -> ExitCode {
             }
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A committed wire artifact carrying every bound `gate_wire` reads.
+    const COMMITTED: &str = r#"{
+        "reduction_floor_pct": 30.0,
+        "idle_fleet": {"content_aware_vs_raw_ceiling": 4.0},
+        "encode": {"speedup_floor": 1.5}
+    }"#;
+
+    /// A passing `wire_smoke`-shaped run.
+    const WIRE_RUN: &str = r#"{
+        "idle_fleet": {
+            "wire_reduction_pct": 99.1,
+            "content_aware_vs_raw": 1.3,
+            "identical": "true",
+            "pinned_identical": "true"
+        },
+        "encode": {"speedup": 5.0, "wire_bytes_identical": "true"}
+    }"#;
+
+    /// Writes `committed` and `run` into a fresh temp dir and gates them.
+    fn gate(name: &str, committed: &str, run: &str) -> Vec<String> {
+        let dir = std::env::temp_dir().join(format!("perf_gate_{}_{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (c, r) = (dir.join("committed.json"), dir.join("run.json"));
+        std::fs::write(&c, committed).unwrap();
+        std::fs::write(&r, run).unwrap();
+        let v = gate_wire(c.to_str().unwrap(), &[r.to_str().unwrap().to_string()]);
+        std::fs::remove_dir_all(&dir).unwrap();
+        v
+    }
+
+    fn fails_on(violations: &[String], needle: &str) -> bool {
+        violations.iter().any(|v| v.contains(needle))
+    }
+
+    #[test]
+    fn complete_wire_smoke_run_passes() {
+        assert_eq!(gate("ok", COMMITTED, WIRE_RUN), Vec::<String>::new());
+    }
+
+    #[test]
+    fn wire_smoke_run_missing_encode_speedup_fails() {
+        let run = WIRE_RUN.replace(r#""speedup": 5.0, "#, "");
+        let v = gate("no_speedup", COMMITTED, &run);
+        assert!(fails_on(&v, "missing encode.speedup"), "{v:?}");
+    }
+
+    #[test]
+    fn perf_smoke_run_without_encode_passes() {
+        let run = r#"{
+            "migrate_many": {"wire_reduction_pct": 45.0, "identical": "true"}
+        }"#;
+        assert_eq!(gate("perf_smoke", COMMITTED, run), Vec::<String>::new());
+    }
+
+    #[test]
+    fn wire_smoke_run_missing_ratio_fails() {
+        let run = WIRE_RUN.replace(r#""content_aware_vs_raw": 1.3,"#, "");
+        let v = gate("no_ratio", COMMITTED, &run);
+        assert!(
+            fails_on(&v, "missing idle_fleet.content_aware_vs_raw"),
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    fn false_identity_field_fails() {
+        let run = WIRE_RUN.replace(
+            r#""pinned_identical": "true""#,
+            r#""pinned_identical": "false""#,
+        );
+        let v = gate("false_identity", COMMITTED, &run);
+        assert!(fails_on(&v, "idle_fleet.pinned_identical"), "{v:?}");
     }
 }

@@ -14,14 +14,16 @@
 //! 3. **Delta coverage**: a second, dirtying run (fig-12 busy phase)
 //!    must produce at least one `Delta` frame so the codec path is
 //!    exercised end to end, not just the zero/dup fast paths.
-//! 4. **Ring identity**: the same fleet migrated with
-//!    `legacy_gather: true` (PR 3's per-round gather-`Vec` path) lands
-//!    byte-identical destinations, reports and wire stats as the
-//!    zero-copy frame ring — the default path is a pure optimization.
-//! 5. **Encode throughput**: a microbench drives both encode paths over
-//!    identical page rounds (zeros, dups, uniques, re-dirtied pages) and
-//!    reports committed pages/second; the ring must beat the per-page
-//!    `encode_page` path by at least `encode.speedup_floor`.
+//! 4. **Pinned identity**: a fingerprint of each content-aware fleet —
+//!    merged wire stats, total bytes sent, UISR bytes and serial-pool
+//!    destination checksums — must equal the value recorded when the
+//!    frame ring was checked byte-identical against the per-round
+//!    gather-`Vec` path it replaced.
+//! 5. **Encode throughput**: a microbench drives the batch ring encoder
+//!    and the per-page `encode_page` path over identical page rounds
+//!    (zeros, dups, uniques, re-dirtied pages) and reports committed
+//!    pages/second; the ring must beat the per-page path by at least
+//!    `encode.speedup_floor`.
 //! 6. **Wall-clock overhead**: the content-aware idle-fleet migration may
 //!    take at most `idle_fleet.content_aware_vs_raw_ceiling` times the
 //!    raw one's wall time, both measured in this run.
@@ -41,7 +43,7 @@ use hypertp_migrate::{
     migrate_many, FrameKind, FrameRing, MigrationConfig, MigrationReport, MigrationTp,
     TransferCache, WireMode, WireStats,
 };
-use hypertp_sim::hash::digest_pages_into;
+use hypertp_sim::hash::{digest_bytes, digest_pages_into};
 use hypertp_sim::json::{self, Json};
 use hypertp_sim::{SimClock, WorkerPool};
 
@@ -53,7 +55,7 @@ const MEM_GB: u64 = 1;
 /// percentage of raw page bytes off the wire. `perf_gate` enforces it.
 const REDUCTION_FLOOR_PCT: f64 = 30.0;
 /// Committed regression floor for the zero-copy encode path: ring
-/// throughput must beat the legacy per-page path by at least this factor
+/// throughput must beat the per-page path by at least this factor
 /// (measured well above 2x; the floor leaves CI-noise headroom).
 /// `perf_gate` enforces it.
 const ENCODE_SPEEDUP_FLOOR: f64 = 1.5;
@@ -61,6 +63,12 @@ const ENCODE_SPEEDUP_FLOOR: f64 = 1.5;
 /// raw wall time, both from the same run (so machine speed cancels).
 /// `perf_gate` enforces it.
 const CONTENT_AWARE_VS_RAW_CEILING: f64 = 4.0;
+
+/// [`fleet_fingerprint`] of the idle and the dirtying content-aware fleet,
+/// recorded from a build where the frame ring and the gather-`Vec` path
+/// it replaced produced identical runs.
+const IDLE_FLEET_FINGERPRINT: &str = "e866c983a0ce6861838373ac1492b2f9";
+const DIRTY_FLEET_FINGERPRINT: &str = "e67c7858af6d61b73bc1d3e98f066de7";
 
 /// Outcome of one fleet migration: wall seconds, per-VM reports, and a
 /// destination fingerprint (serial-pool guest checksums + UISR bytes)
@@ -79,10 +87,6 @@ struct Run {
 /// unique block; everything else stays zero, as on a freshly booted
 /// idle guest (§5.2's fig-12 shape).
 fn run_fleet(wire_mode: WireMode, dirty_rate: f64) -> Run {
-    run_fleet_with(wire_mode, dirty_rate, false)
-}
-
-fn run_fleet_with(wire_mode: WireMode, dirty_rate: f64, legacy_gather: bool) -> Run {
     let reg = registry();
     let clock = SimClock::new();
     let mut src_m = Machine::with_clock(MachineSpec::m1(), clock.clone());
@@ -115,7 +119,6 @@ fn run_fleet_with(wire_mode: WireMode, dirty_rate: f64, legacy_gather: bool) -> 
             verify_contents: true,
             dirty_rate_pages_per_sec: dirty_rate,
             wire_mode,
-            legacy_gather,
             ..MigrationConfig::default()
         })
         .with_pool(WorkerPool::from_env());
@@ -156,6 +159,24 @@ fn merged_wire(reports: &[MigrationReport]) -> WireStats {
         wire.merge(&r.wire);
     }
     wire
+}
+
+fn bytes_sent(run: &Run) -> u64 {
+    run.reports.iter().map(|r| r.bytes_sent).sum()
+}
+
+/// Digest of a fleet's identity: merged wire stats (frames, bytes and
+/// cache counters), total bytes sent, UISR bytes and the serial-pool
+/// destination checksums.
+fn fleet_fingerprint(run: &Run) -> String {
+    let identity = format!(
+        "{:?} {} {} {:?}",
+        merged_wire(&run.reports),
+        bytes_sent(run),
+        run.uisr_bytes,
+        run.dst_checksums
+    );
+    digest_bytes(identity.as_bytes()).hex()
 }
 
 fn kind_json(wire: &WireStats) -> Json {
@@ -229,8 +250,8 @@ fn main() {
     let ca = run_fleet(WireMode::ContentAware, 0.0);
     let identical = raw.dst_checksums == ca.dst_checksums && raw.uisr_bytes == ca.uisr_bytes;
     let wire = merged_wire(&ca.reports);
-    let raw_bytes: u64 = raw.reports.iter().map(|r| r.bytes_sent).sum();
-    let ca_bytes: u64 = ca.reports.iter().map(|r| r.bytes_sent).sum();
+    let raw_bytes = bytes_sent(&raw);
+    let ca_bytes = bytes_sent(&ca);
     let reduction_pct = (1.0 - wire.compression_ratio()) * 100.0;
     let ca_vs_raw = ca.wall / raw.wall.max(1e-9);
     println!(
@@ -298,35 +319,21 @@ fn main() {
         "dirtying run must exercise the delta codec"
     );
 
-    // 4. Ring vs legacy: the zero-copy frame ring must be a pure
-    // optimization — same destinations, same reports, same wire stats as
-    // PR 3's gather-`Vec` path, on both the idle and the dirtying fleet
-    // (the latter exercises delta frames through both encoders).
-    let legacy = run_fleet_with(WireMode::ContentAware, 0.0, true);
-    let legacy_dirty = run_fleet_with(WireMode::ContentAware, 2000.0, true);
-    let legacy_bytes: u64 = legacy.reports.iter().map(|r| r.bytes_sent).sum();
-    let dirty_bytes: u64 = dirty.reports.iter().map(|r| r.bytes_sent).sum();
-    let legacy_dirty_bytes: u64 = legacy_dirty.reports.iter().map(|r| r.bytes_sent).sum();
-    let ring_vs_legacy = legacy.dst_checksums == ca.dst_checksums
-        && legacy.uisr_bytes == ca.uisr_bytes
-        && merged_wire(&legacy.reports) == wire
-        && legacy_bytes == ca_bytes
-        && legacy_dirty.dst_checksums == dirty.dst_checksums
-        && legacy_dirty.uisr_bytes == dirty.uisr_bytes
-        && merged_wire(&legacy_dirty.reports) == dirty_wire
-        && legacy_dirty_bytes == dirty_bytes;
-    println!(
-        "== ring vs legacy == identical: {ring_vs_legacy} (legacy idle {legacy_bytes} B in {:.3} s)",
-        legacy.wall
-    );
+    // 4. Pinned identity of both content-aware fleets (the dirtying one
+    // carries delta frames and later rounds).
+    let idle_fp = fleet_fingerprint(&ca);
+    let dirty_fp = fleet_fingerprint(&dirty);
+    let pinned = idle_fp == IDLE_FLEET_FINGERPRINT && dirty_fp == DIRTY_FLEET_FINGERPRINT;
+    println!("== pinned identity == idle {idle_fp}, dirtying {dirty_fp}: {pinned}");
     assert!(
-        ring_vs_legacy,
-        "frame ring must land byte-identical runs vs the legacy gather path"
+        pinned,
+        "content-aware fleets drifted from the pinned fingerprints \
+         (idle {IDLE_FLEET_FINGERPRINT}, dirtying {DIRTY_FLEET_FINGERPRINT})"
     );
 
     // 5. Encode throughput: batch encode into the reusable ring vs the
-    // per-page legacy path (one lock, one frame, one gather Vec per page).
-    let legacy_enc = encode_bench(|cache, gfns, words| {
+    // per-page path (one lock and one owned frame per page).
+    let per_page_enc = encode_bench(|cache, gfns, words| {
         let mut frames = Vec::with_capacity(gfns.len());
         let mut wb = 0u64;
         for (&g, &w) in gfns.iter().zip(words) {
@@ -348,16 +355,16 @@ fn main() {
         std::hint::black_box(ring.len_bytes());
         wb
     });
-    let speedup = ring_enc.pages_per_sec / legacy_enc.pages_per_sec;
-    let wire_bytes_identical = ring_enc.wire_bytes == legacy_enc.wire_bytes;
+    let speedup = ring_enc.pages_per_sec / per_page_enc.pages_per_sec;
+    let wire_bytes_identical = ring_enc.wire_bytes == per_page_enc.wire_bytes;
     println!(
-        "== encode throughput == {} pages x {} rounds: legacy {:.0} pages/s, ring {:.0} pages/s -> {speedup:.2}x (floor {ENCODE_SPEEDUP_FLOOR}x)",
-        ENCODE_PAGES, ENCODE_ROUNDS, legacy_enc.pages_per_sec, ring_enc.pages_per_sec
+        "== encode throughput == {} pages x {} rounds: per-page {:.0} pages/s, ring {:.0} pages/s -> {speedup:.2}x (floor {ENCODE_SPEEDUP_FLOOR}x)",
+        ENCODE_PAGES, ENCODE_ROUNDS, per_page_enc.pages_per_sec, ring_enc.pages_per_sec
     );
     assert!(
         wire_bytes_identical,
         "encode paths must account identical wire bytes ({} vs {})",
-        ring_enc.wire_bytes, legacy_enc.wire_bytes
+        ring_enc.wire_bytes, per_page_enc.wire_bytes
     );
     assert!(
         speedup >= ENCODE_SPEEDUP_FLOOR,
@@ -396,17 +403,17 @@ fn main() {
                         .with("hit_rate", json::f(wire.dedup_hit_rate())),
                 )
                 .with("identical", json::s(identical.to_string()))
-                .with(
-                    "ring_vs_legacy_identical",
-                    json::s(ring_vs_legacy.to_string()),
-                ),
+                .with("pinned_identical", json::s(pinned.to_string())),
         )
         .with(
             "encode",
             Json::obj()
                 .with("pages_per_round", json::u(ENCODE_PAGES))
                 .with("rounds", json::u(ENCODE_ROUNDS))
-                .with("legacy_pages_per_sec", json::f(legacy_enc.pages_per_sec))
+                .with(
+                    "per_page_pages_per_sec",
+                    json::f(per_page_enc.pages_per_sec),
+                )
                 .with("ring_pages_per_sec", json::f(ring_enc.pages_per_sec))
                 .with("speedup", json::f(speedup))
                 .with("speedup_floor", json::f(ENCODE_SPEEDUP_FLOOR))

@@ -13,7 +13,7 @@ use crate::control::{
     MigrationPrediction, PrecopyController, PredictInput, VmSloOutcome, UISR_BYTES_ALLOWANCE,
 };
 use crate::framing::FrameRing;
-use crate::network::{Link, WireFrame, WireStats};
+use crate::network::{Link, WireStats};
 use crate::wire::TransferCache;
 
 /// Extra one-way delay modelled for an injected link latency spike
@@ -30,9 +30,9 @@ pub(crate) fn backoff_delay(base: SimDuration, attempt: u32) -> SimDuration {
 /// How guest pages are represented on the migration wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireMode {
-    /// Legacy path: every page ships as a full raw payload. This is the
-    /// paper-faithful accounting used by the fig. 11–13 reproductions and
-    /// the pinned timing tests, so it stays the default.
+    /// Every page ships as a full raw payload. This is the paper-faithful
+    /// accounting used by the fig. 11–13 reproductions and the pinned
+    /// timing tests, so it stays the default.
     #[default]
     Raw,
     /// Content-aware path (PR 3): zero-page elision, digest-keyed dedup
@@ -75,15 +75,11 @@ pub struct MigrationConfig {
     pub retry_backoff: SimDuration,
     /// Wire representation of guest pages (raw or content-aware).
     pub wire_mode: WireMode,
-    /// Below this many pages, gathers run serially: the thread spawn +
-    /// hand-off cost of the pool exceeds the work (BENCH_parallel.json
+    /// Below this many pages, raw-path gathers and content-aware digests
+    /// run serially: the thread spawn + hand-off cost of the pool exceeds the work (BENCH_parallel.json
     /// showed `migrate_many` *losing* 2 ms to pool overhead on small
     /// dirty sets before this threshold existed).
     pub parallel_threshold_pages: usize,
-    /// Bounded hand-off window of the content-aware round pipeline:
-    /// gather/hash chunks may run at most this many chunks ahead of the
-    /// encode/transmit stage.
-    pub pipeline_window: usize,
     /// Target ceiling for VM downtime. When set, the adaptive controller
     /// replaces [`MigrationConfig::stop_threshold_pages`] with the budget
     /// converted to pages at the *observed* effective throughput and
@@ -94,12 +90,6 @@ pub struct MigrationConfig {
     /// Adaptive-controller tuning ([`ControlConfig`]); defaults leave the
     /// controller disabled.
     pub control: ControlConfig,
-    /// Use PR 3's gather-`Vec` content-aware path (one `Vec<WireFrame>`
-    /// per round, one boxed delta per re-dirtied page) instead of the
-    /// zero-copy frame ring. Reports and chaos replays are byte-identical
-    /// either way — the legacy path survives purely as the benchmark
-    /// baseline the ring's speedup is measured against.
-    pub legacy_gather: bool,
 }
 
 impl Default for MigrationConfig {
@@ -114,10 +104,8 @@ impl Default for MigrationConfig {
             retry_backoff: SimDuration::from_millis(50),
             wire_mode: WireMode::Raw,
             parallel_threshold_pages: 8192,
-            pipeline_window: 8,
             downtime_budget: None,
             control: ControlConfig::default(),
-            legacy_gather: false,
         }
     }
 }
@@ -510,40 +498,23 @@ impl MigrationTp {
             }
             WireMode::ContentAware => {
                 self.cache.begin_round();
-                let encoded = if self.config.legacy_gather {
-                    self.gather_encode(src_machine, src_hv, src_id, &stop_set)
-                        .and_then(|(frames, wb)| {
-                            self.apply_frames(
-                                dst_machine,
-                                dst_hv,
-                                dst_id,
-                                &stop_set,
-                                &frames,
-                                &cfg.name,
-                                &mut wire,
-                            )?;
-                            Ok(wb)
-                        })
-                } else {
-                    self.gather_encode_ring(src_machine, src_hv, src_id, &stop_set)
-                        .and_then(|wb| {
-                            self.apply_ring(
-                                dst_machine,
-                                dst_hv,
-                                dst_id,
-                                &stop_set,
-                                &cfg.name,
-                                &mut wire,
-                            )?;
-                            Ok(wb)
-                        })
-                };
+                let encoded = self
+                    .gather_encode_ring(src_machine, src_hv, src_id, &stop_set)
+                    .and_then(|wb| {
+                        self.apply_ring(
+                            dst_machine,
+                            dst_hv,
+                            dst_id,
+                            &stop_set,
+                            &cfg.name,
+                            &mut wire,
+                        )?;
+                        Ok(wb)
+                    });
                 match encoded {
                     Ok(wb) => {
                         self.cache.commit_round();
-                        if !self.config.legacy_gather {
-                            self.scratch.round().ring.commit();
-                        }
+                        self.scratch.round().ring.commit();
                         wb
                     }
                     Err(e) => {
@@ -666,11 +637,11 @@ impl MigrationTp {
         })
     }
 
-    /// Sends one pre-copy round in [`WireMode::Raw`]: the legacy path
-    /// with paper-faithful byte accounting (every page ships as a full
-    /// payload). Fault handling: link drops retry the round with backoff,
-    /// latency spikes stretch it, a truncated page is detected by the
-    /// destination echo and re-sent.
+    /// Sends one pre-copy round in [`WireMode::Raw`], with paper-faithful
+    /// byte accounting (every page ships as a full payload). Fault
+    /// handling: link drops retry the round with backoff, latency spikes
+    /// stretch it, a truncated page is detected by the destination echo
+    /// and re-sent.
     #[allow(clippy::too_many_arguments)]
     fn send_round_raw(
         &self,
@@ -815,10 +786,11 @@ impl MigrationTp {
     }
 
     /// Sends one pre-copy round in [`WireMode::ContentAware`]: pages are
-    /// gathered and hashed on the pool, encoded against the
-    /// destination-synchronised cache (zero markers, dedup references,
-    /// XOR+RLE deltas) in a bounded pipeline, and applied to the
-    /// destination in GFN order.
+    /// read from the source's extents, digested (on the pool above the
+    /// parallel threshold), encoded into the scratch frame ring against
+    /// the destination-synchronised cache (zero markers, dedup
+    /// references, XOR+RLE deltas), and applied to the destination in
+    /// GFN order.
     ///
     /// Fault semantics differ from the raw path in one crucial way: a
     /// dropped round invalidates the dedup/delta state it would have
@@ -844,27 +816,15 @@ impl MigrationTp {
         let pages = to_send.len() as u64;
         let mut duration = SimDuration::ZERO;
         let mut drops = 0u32;
-        let use_ring = !self.config.legacy_gather;
-        let (frames, round_wire_bytes) = loop {
+        let round_wire_bytes = loop {
             self.cache.begin_round();
-            // Ring path: frames are serialized into the shared scratch
-            // ring (no per-round Vec); `frames` stays `None` and the
-            // apply below walks the ring's borrowed views instead.
-            let encoded: (Option<Vec<WireFrame>>, u64) = if use_ring {
-                match self.gather_encode_ring(src_machine, src_hv, src_id, to_send) {
-                    Ok(wb) => (None, wb),
-                    Err(e) => {
-                        self.cache.rollback_round();
-                        return Err(e);
-                    }
-                }
-            } else {
-                match self.gather_encode(src_machine, src_hv, src_id, to_send) {
-                    Ok((f, wb)) => (Some(f), wb),
-                    Err(e) => {
-                        self.cache.rollback_round();
-                        return Err(e);
-                    }
+            // Frames are serialized into the shared scratch ring; the
+            // apply below walks the ring's borrowed views.
+            let encoded = match self.gather_encode_ring(src_machine, src_hv, src_id, to_send) {
+                Ok(wb) => wb,
+                Err(e) => {
+                    self.cache.rollback_round();
+                    return Err(e);
                 }
             };
             if !self.faults.should_inject(
@@ -880,9 +840,7 @@ impl MigrationTp {
             // holds. The ring rolls back in lockstep with the cache
             // journal, dropping the failed round's serialized frames.
             self.cache.rollback_round();
-            if use_ring {
-                self.scratch.round().ring.rollback();
-            }
+            self.scratch.round().ring.rollback();
             self.faults.record_recovery(
                 InjectionPoint::LinkDrop,
                 RecoveryAction::InvalidatedWireCache,
@@ -911,7 +869,7 @@ impl MigrationTp {
             let wait = backoff_delay(self.config.retry_backoff, drops);
             // Half the (compressed) round was on the wire before the
             // drop, plus the backoff before reconnecting.
-            duration += self.config.link.transfer(encoded.1 / 2, sharers) + wait;
+            duration += self.config.link.transfer(encoded / 2, sharers) + wait;
             self.faults.record_recovery(
                 InjectionPoint::LinkDrop,
                 RecoveryAction::RetriedWithBackoff,
@@ -933,7 +891,6 @@ impl MigrationTp {
             + perf.cpu(self.cost.migrate_ghz_s_per_page * pages as f64)
             + SimDuration::from_secs_f64(self.cost.migrate_round_overhead_s);
         let mut bytes_sent = round_wire_bytes;
-        debug_assert_eq!(frames.is_none(), use_ring);
 
         if self.faults.should_inject(
             InjectionPoint::LinkLatencySpike,
@@ -950,10 +907,7 @@ impl MigrationTp {
             );
         }
 
-        match &frames {
-            Some(f) => self.apply_frames(dst_machine, dst_hv, dst_id, to_send, f, vm_name, wire)?,
-            None => self.apply_ring(dst_machine, dst_hv, dst_id, to_send, vm_name, wire)?,
-        }
+        self.apply_ring(dst_machine, dst_hv, dst_id, to_send, vm_name, wire)?;
 
         // Truncated page: the echo check detects the corruption; the
         // re-send re-encodes through the cache, which by now holds the
@@ -993,9 +947,7 @@ impl MigrationTp {
         }
 
         self.cache.commit_round();
-        if use_ring {
-            self.scratch.round().ring.commit();
-        }
+        self.scratch.round().ring.commit();
         Ok(RoundOutcome {
             duration,
             bytes_sent,
@@ -1004,65 +956,8 @@ impl MigrationTp {
         })
     }
 
-    /// The gather/hash → encode pipeline of the content-aware path: pool
-    /// workers gather and digest source chunks while the calling thread
-    /// encodes them against the cache in strict GFN order (bounded
-    /// hand-off window, so encode back-pressure throttles the gather
-    /// instead of queueing unboundedly). Returns the frames plus their
-    /// total wire bytes. Below the parallel threshold everything runs
-    /// serially — same result, no thread spawn.
-    fn gather_encode(
-        &self,
-        src_machine: &Machine,
-        src_hv: &dyn Hypervisor,
-        src_id: VmId,
-        gfns: &[Gfn],
-    ) -> Result<(Vec<WireFrame>, u64), HtpError> {
-        let mut frames = Vec::with_capacity(gfns.len());
-        let mut wire_bytes = 0u64;
-        if self.pool.workers() <= 1 || gfns.len() < self.config.parallel_threshold_pages {
-            let words = src_hv.read_guest_many(src_machine, src_id, gfns)?;
-            for (&g, w) in gfns.iter().zip(words) {
-                let f = self.cache.encode_page(src_id.0, g.0, w);
-                wire_bytes += f.wire_bytes();
-                frames.push(f);
-            }
-        } else {
-            let chunk = gfns.len().div_ceil(self.pool.workers() * 4).max(1);
-            let chunks: Vec<&[Gfn]> = gfns.chunks(chunk).collect();
-            let mut first_err: Option<HtpError> = None;
-            self.pool.pipeline(
-                chunks.len(),
-                self.config.pipeline_window,
-                |i| -> Result<Vec<u64>, HtpError> {
-                    src_hv.read_guest_many(src_machine, src_id, chunks[i])
-                },
-                |i, gathered| {
-                    if first_err.is_some() {
-                        return;
-                    }
-                    match gathered {
-                        Ok(words) => {
-                            for (&g, w) in chunks[i].iter().zip(words) {
-                                let f = self.cache.encode_page(src_id.0, g.0, w);
-                                wire_bytes += f.wire_bytes();
-                                frames.push(f);
-                            }
-                        }
-                        Err(e) => first_err = Some(e),
-                    }
-                },
-            );
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-        }
-        debug_assert_eq!(frames.len(), gfns.len());
-        Ok((frames, wire_bytes))
-    }
-
-    /// Zero-copy counterpart of [`MigrationTp::gather_encode`]: content
-    /// words are borrowed straight out of the source's RAM extents
+    /// The encode half of a content-aware round: content words are
+    /// borrowed straight out of the source's RAM extents
     /// (`read_guest_into` walks coalesced GFN→MFN runs and memcpys whole
     /// extents), digests are batch-computed word-parallel across the
     /// worker pool, and frames are serialized into the shared scratch
@@ -1103,11 +998,12 @@ impl MigrationTp {
         Ok(wire_bytes)
     }
 
-    /// Zero-copy counterpart of [`MigrationTp::apply_frames`]: walks the
-    /// scratch ring's borrowed frame views in GFN order, probing the
-    /// destination with one batched read into a reused buffer and eliding
-    /// no-op writes. Accounting ([`WireStats`]) and integrity semantics
-    /// are identical to the owned-frame path.
+    /// The apply half of a content-aware round: walks the scratch ring's
+    /// borrowed frame views in GFN order, probing the destination with one
+    /// batched read into a reused buffer and eliding no-op writes — zero
+    /// pages on a fresh shell and dedup hits cost no write. Each frame is
+    /// recorded in [`WireStats`]; a frame that cannot be materialised is
+    /// an [`HtpError::IntegrityViolation`].
     fn apply_ring(
         &self,
         dst_machine: &mut Machine,
@@ -1136,37 +1032,6 @@ impl MigrationTp {
             }
         }
         self.scratch.stats().grows += u64::from(current.capacity() != cap);
-        Ok(())
-    }
-
-    /// Materialises a round's frames on the destination, in GFN order.
-    /// Writes are elided when the destination already holds the page's
-    /// content (zero pages on a fresh shell, dedup hits) — the wall-clock
-    /// counterpart of the bytes the frames kept off the wire.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_frames(
-        &self,
-        dst_machine: &mut Machine,
-        dst_hv: &mut dyn Hypervisor,
-        dst_id: VmId,
-        gfns: &[Gfn],
-        frames: &[WireFrame],
-        vm_name: &str,
-        wire: &mut WireStats,
-    ) -> Result<(), HtpError> {
-        let current = dst_hv.read_guest_many(dst_machine, dst_id, gfns)?;
-        for ((frame, &g), &cur) in frames.iter().zip(gfns).zip(&current) {
-            wire.record(frame);
-            let word =
-                self.cache
-                    .apply_frame(frame, cur)
-                    .ok_or_else(|| HtpError::IntegrityViolation {
-                        vm_name: vm_name.to_string(),
-                    })?;
-            if word != cur {
-                dst_hv.write_guest(dst_machine, dst_id, g, word)?;
-            }
-        }
         Ok(())
     }
 

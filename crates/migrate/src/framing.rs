@@ -1,12 +1,10 @@
 //! Serialized wire frames and the reusable frame ring.
 //!
-//! PR 3's wire path materialised every round as a `Vec<WireFrame>` — one
-//! heap `Vec` per round per VM, plus one boxed delta stream per `Delta`
-//! frame. This module replaces that with a *byte-serialized* stream in a
-//! [`FrameRing`]: the engine owns one ring, reuses it across rounds and
-//! across VMs, and both sides of the transfer operate on borrowed
-//! [`FrameView`]s into the ring — the steady-state hot path never touches
-//! the allocator.
+//! The engine ships every content-aware round as a *byte-serialized*
+//! stream in a [`FrameRing`] rather than as owned [`WireFrame`]s: it owns
+//! one ring, reuses it across rounds and across VMs, and both sides of the
+//! transfer operate on borrowed [`FrameView`]s into the ring — the
+//! steady-state hot path never touches the allocator.
 //!
 //! **Wire format.** Every frame is a fixed 16-byte header followed by a
 //! payload ([`WIRE_FRAME_HEADER`] already accounted this header):
@@ -17,15 +15,15 @@
 //!
 //! Payloads by kind: `Raw` carries the page's 8-byte content word (the
 //! simulator ships the word standing in for the 4 KiB page — accounting
-//! still charges the full page, so `WireStats` match the legacy path
-//! byte for byte), `Zero` is empty, `Dup` carries the 16-byte content
+//! still charges the full page, so `WireStats` match the per-page
+//! [`WireFrame`] accounting byte for byte), `Zero` is empty, `Dup` carries the 16-byte content
 //! digest, `Delta` carries the XOR+RLE stream.
 //!
 //! **Transactional rounds.** The ring mirrors the `TransferCache`
 //! journal: [`FrameRing::begin`] records a watermark, and a link drop
 //! rolls the ring back to it in lockstep with
 //! [`TransferCache::rollback_round`], so `LinkDrop` recovery re-encodes
-//! byte-identically to the legacy path.
+//! against exactly the state the destination acknowledged.
 //!
 //! [`TransferCache::rollback_round`]: crate::wire::TransferCache::rollback_round
 

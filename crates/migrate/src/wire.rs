@@ -859,7 +859,7 @@ impl TransferCache {
     /// and chaos-replay rollback behaviour match byte for byte. The one
     /// shortcut is deliberate and lossless: the simulator's pages are
     /// uniform, so a re-dirtied page's delta is the ≤11-byte word-level
-    /// stream, which always beats a raw page — the legacy size check can
+    /// stream, which always beats a raw page — `encode_page`'s size check can
     /// never pick `Raw` there.
     ///
     /// `digests[i]` must equal `digest_words(&[words[i]])`; it is only

@@ -3,7 +3,7 @@
 //! — zero elision, cross-round/cross-VM dedup, XOR+RLE deltas — the
 //! destination must end up byte-identical to a raw migration: same guest
 //! RAM (serial-pool checksums), same UISR state, same reads, for any
-//! worker count of the pipelined round engine.
+//! worker count of the round engine.
 
 use hypertp::prelude::*;
 use hypertp_machine::Extent;
@@ -138,20 +138,35 @@ fn content_aware_lands_byte_identical_destination() {
 
 #[test]
 fn content_aware_outcome_is_identical_for_any_worker_count() {
-    // threshold 1 forces every round through the pipelined gather→encode
-    // path even on small dirty sets.
-    let (baseline_dst, baseline_reports, _) =
-        run_fleet(WireMode::ContentAware, WorkerPool::serial(), 0.0, 1);
-    for workers in [2usize, 8] {
-        let (dst, reports, _) = run_fleet(WireMode::ContentAware, WorkerPool::new(workers), 0.0, 1);
-        assert_eq!(
-            dst, baseline_dst,
-            "destination diverged with {workers} workers"
-        );
-        for (a, b) in reports.iter().zip(&baseline_reports) {
-            assert_eq!(a.wire, b.wire, "wire stats diverged with {workers} workers");
-            assert_eq!(a.bytes_sent, b.bytes_sent);
-            assert_eq!(a.rounds.len(), b.rounds.len());
+    // threshold 1 fans every round's digests over the pool even on small
+    // dirty sets; the dirtying fleet adds later rounds and delta frames.
+    for dirty_rate in [0.0, 2000.0] {
+        let (baseline_dst, baseline_reports, _) =
+            run_fleet(WireMode::ContentAware, WorkerPool::serial(), dirty_rate, 1);
+        if dirty_rate > 0.0 {
+            assert!(merged(&baseline_reports).count(FrameKind::Delta) > 0);
+            assert!(baseline_reports.iter().all(|r| r.rounds.len() > 1));
+        }
+        for workers in [2usize, 8] {
+            let (dst, reports, _) = run_fleet(
+                WireMode::ContentAware,
+                WorkerPool::new(workers),
+                dirty_rate,
+                1,
+            );
+            assert_eq!(
+                dst, baseline_dst,
+                "destination diverged with {workers} workers at dirty rate {dirty_rate}"
+            );
+            assert_eq!(reports.len(), baseline_reports.len());
+            for (a, b) in reports.iter().zip(&baseline_reports) {
+                assert_eq!(
+                    a.wire, b.wire,
+                    "wire stats diverged with {workers} workers at dirty rate {dirty_rate}"
+                );
+                assert_eq!(a.bytes_sent, b.bytes_sent);
+                assert_eq!(a.rounds, b.rounds);
+            }
         }
     }
 }
